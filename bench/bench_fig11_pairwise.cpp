@@ -10,9 +10,9 @@
 //      volume; the downstream path needs volume.
 //
 // The probes fan out through the CampaignExecutor (campaign_jobs.cpp holds
-// the per-deployment job bodies), so GRUNT_BENCH_BACKEND=process runs each
-// probe in an isolated worker process; seeds are per-job, so the table is
-// the same on every backend at any worker count.
+// the per-deployment job bodies), so GRUNT_BENCH_BACKEND=socket runs each
+// probe in a grunt_campaign_worker process; seeds are per-job, so the table
+// is the same on every backend at any worker count.
 
 #include <cstdio>
 #include <vector>

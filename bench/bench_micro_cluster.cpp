@@ -22,7 +22,6 @@
 // GRUNT_METRICS_JSON set, the telemetry run's full registry snapshot is
 // written there as the per-run metrics artifact.
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -33,14 +32,11 @@
 #include <vector>
 
 #include "apps/socialnetwork.h"
-#include "campaign_jobs.h"
-#include "dist/campaign_executor.h"
 #include "fixtures_path.h"
 #include "microsvc/cluster.h"
 #include "sim/simulation.h"
 #include "telemetry/engine_metrics.h"
 #include "util/json.h"
-#include "util/parallel_runner.h"
 
 namespace grunt {
 namespace {
@@ -253,10 +249,6 @@ json::Value Round0(double x) { return json::Value(std::round(x)); }
 json::Value Round2(double x) {
   return json::Value(std::round(x * 100.0) / 100.0);
 }
-/// Millisecond-resolution wall-clock seconds.
-json::Value Round3(double x) {
-  return json::Value(std::round(x * 1000.0) / 1000.0);
-}
 
 json::Value PoolJson(const sim::SlabPoolStats& p) {
   json::Object o;
@@ -272,33 +264,6 @@ json::Value PoolsJson(const microsvc::Cluster::LifecycleStats& st) {
   o.emplace_back("calls", PoolJson(st.calls));
   o.emplace_back("hops", PoolJson(st.hops));
   return json::Value(std::move(o));
-}
-
-struct FanoutMeasurement {
-  double wall_sec = 0;
-  std::vector<std::uint64_t> hashes;
-};
-
-FanoutMeasurement TimeFanout(dist::Backend backend, unsigned workers,
-                             std::size_t jobs) {
-  dist::ExecutorConfig cfg;
-  cfg.backend = backend;
-  cfg.workers = workers;
-  dist::CampaignExecutor exec(cfg);
-  std::vector<dist::JobSpec> specs;
-  specs.reserve(jobs);
-  for (std::size_t i = 0; i < jobs; ++i) {
-    specs.push_back(dist::JobSpec{json::Value(json::Object{}), i});
-  }
-  FanoutMeasurement out;
-  const auto t0 = Clock::now();
-  const auto raw = exec.Run("mini_campaign", specs);
-  out.wall_sec = SecondsSince(t0);
-  out.hashes.reserve(raw.size());
-  for (const auto& r : raw) {
-    out.hashes.push_back(bench::HashFromHex(r.At("hash").AsString()));
-  }
-  return out;
 }
 
 }  // namespace
@@ -322,24 +287,6 @@ int main() {
   const Measurement timer_heap = MeasureTimerHeavy(/*use_wheel=*/false);
   std::fprintf(stderr, "measuring single-chain steady + live telemetry...\n");
   const TelemetryMeasurement tel = MeasureSingleChainSteadyTelemetry();
-  // Campaign fan-out through the CampaignExecutor: thread backend at one
-  // worker as the control, process backend (pre-forked workers) at >=2. The
-  // hash comparison checks cross-backend determinism on any box; the
-  // speedup column is only meaningful with real cores behind it.
-  bench::RegisterCampaignJobs();
-  constexpr std::size_t kFanoutJobs = 6;
-  const unsigned fanout_threads = util::ParallelRunner::DefaultThreads();
-  const unsigned fanout_workers = std::max(2u, fanout_threads);
-  const bool fanout_can_compare = fanout_threads > 1;
-  std::fprintf(stderr, "measuring campaign fan-out (thread control)...\n");
-  const FanoutMeasurement fan_thread =
-      TimeFanout(dist::Backend::kThread, fanout_workers, kFanoutJobs);
-  std::fprintf(stderr,
-               "measuring campaign fan-out (%u process workers)...\n",
-               fanout_workers);
-  const FanoutMeasurement fan_process =
-      TimeFanout(dist::Backend::kProcess, fanout_workers, kFanoutJobs);
-  const bool fanout_identical = fan_thread.hashes == fan_process.hashes;
 
   const double cold_speedup = cold.req_per_sec / kPr2BaselineReqPerSec;
   const double steady_speedup = steady.req_per_sec / kPr2BaselineReqPerSec;
@@ -374,10 +321,6 @@ int main() {
   std::printf("telemetry_overhead:   %10.0f req/s  (%.2fx of steady, "
               "3 live subscribers)\n",
               tel.m.req_per_sec, tel_ratio);
-  std::printf("campaign_fanout:      thread %.3fs, process %.3fs "
-              "(%u workers, identical=%s)\n",
-              fan_thread.wall_sec, fan_process.wall_sec, fanout_workers,
-              fanout_identical ? "true" : "false");
 
   json::Object root;
   root.emplace_back("schema", 4);
@@ -432,24 +375,6 @@ int main() {
     o.emplace_back("spans", static_cast<std::int64_t>(tel.spans));
     o.emplace_back("throughput_ratio", Round2(tel_ratio));
     root.emplace_back("telemetry_overhead", json::Value(std::move(o)));
-  }
-  {
-    json::Object o;
-    o.emplace_back("jobs", static_cast<std::int64_t>(kFanoutJobs));
-    o.emplace_back("workers", static_cast<std::int64_t>(fanout_workers));
-    o.emplace_back("wall_sec_thread", Round3(fan_thread.wall_sec));
-    o.emplace_back("wall_sec_process", Round3(fan_process.wall_sec));
-    o.emplace_back("results_identical", fanout_identical);
-    if (fanout_can_compare) {
-      o.emplace_back("process_speedup_vs_thread",
-                     Round2(fan_process.wall_sec > 0
-                                ? fan_thread.wall_sec / fan_process.wall_sec
-                                : 0.0));
-    } else {
-      o.emplace_back("process_speedup_vs_thread", json::Value(nullptr));
-      o.emplace_back("process_speedup_skipped", "only 1 thread available");
-    }
-    root.emplace_back("campaign_fanout", json::Value(std::move(o)));
   }
 
   const char* path = std::getenv("GRUNT_BENCH_CLUSTER_JSON");

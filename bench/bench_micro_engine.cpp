@@ -23,7 +23,6 @@
 
 #include "attack/kalman.h"
 #include "campaign_jobs.h"
-#include "dist/campaign_executor.h"
 #include "fixtures_path.h"
 #include "microsvc/cluster.h"
 #include "model/queuing_model.h"
@@ -355,8 +354,8 @@ struct CampaignTiming {
 };
 
 // The campaign body (bench::MiniCampaignHash) lives in campaign_jobs.cpp,
-// registered as the "mini_campaign" kind, so the in-process timing below and
-// the out-of-process backends run the exact same simulation.
+// registered as the "mini_campaign" kind, so the timing below runs the same
+// simulation a campaign executor's workers do.
 CampaignTiming TimeCampaigns(unsigned threads, std::size_t jobs) {
   util::ParallelRunner pool(threads);
   CampaignTiming out;
@@ -365,30 +364,6 @@ CampaignTiming TimeCampaigns(unsigned threads, std::size_t jobs) {
     return bench::MiniCampaignHash(i);
   });
   out.wall_sec = SecondsSince(t0);
-  return out;
-}
-
-/// The same jobs through a CampaignExecutor backend (timing includes worker
-/// startup — that cost is part of what the backend comparison measures).
-CampaignTiming TimeCampaignsOn(dist::Backend backend, unsigned workers,
-                               std::size_t jobs) {
-  dist::ExecutorConfig cfg;
-  cfg.backend = backend;
-  cfg.workers = workers;
-  dist::CampaignExecutor exec(cfg);
-  std::vector<dist::JobSpec> specs;
-  specs.reserve(jobs);
-  for (std::size_t i = 0; i < jobs; ++i) {
-    specs.push_back(dist::JobSpec{json::Value(json::Object{}), i});
-  }
-  CampaignTiming out;
-  const auto t0 = Clock::now();
-  const auto raw = exec.Run("mini_campaign", specs);
-  out.wall_sec = SecondsSince(t0);
-  out.hashes.reserve(raw.size());
-  for (const auto& r : raw) {
-    out.hashes.push_back(bench::HashFromHex(r.At("hash").AsString()));
-  }
   return out;
 }
 
@@ -435,17 +410,6 @@ void WriteEngineJson() {
     parallel = TimeCampaigns(par_threads, kJobs);
     identical = serial.hashes == parallel.hashes;
   }
-  // Process-backend scaling entry: same jobs through pre-forked worker
-  // processes. The determinism cross-check (hashes vs the serial in-process
-  // run) is meaningful even on a 1-core box; the speedup over the thread
-  // backend is only recorded when there is real parallelism to measure.
-  bench::RegisterCampaignJobs();
-  const unsigned proc_workers = std::max(2u, par_threads);
-  std::fprintf(stderr, "timing %zu mini-campaigns on %u process workers...\n",
-               kJobs, proc_workers);
-  const CampaignTiming process =
-      TimeCampaignsOn(dist::Backend::kProcess, proc_workers, kJobs);
-  const bool process_identical = serial.hashes == process.hashes;
 
   json::Object root;
   root.emplace_back("schema", 4);
@@ -489,21 +453,6 @@ void WriteEngineJson() {
     } else {
       o.emplace_back("speedup", json::Value(nullptr));
       o.emplace_back("speedup_skipped", "only 1 thread available");
-    }
-    o.emplace_back("process_workers",
-                   static_cast<std::int64_t>(proc_workers));
-    o.emplace_back("wall_sec_process", Round3(process.wall_sec));
-    o.emplace_back("process_results_identical", process_identical);
-    if (can_compare) {
-      // Control: the thread backend at the same worker count
-      // (wall_sec_n_threads above). ParallelRunner IS the thread backend.
-      o.emplace_back("process_speedup_vs_thread",
-                     Round2(process.wall_sec > 0
-                                ? parallel.wall_sec / process.wall_sec
-                                : 0.0));
-    } else {
-      o.emplace_back("process_speedup_vs_thread", json::Value(nullptr));
-      o.emplace_back("process_speedup_skipped", "only 1 thread available");
     }
     root.emplace_back("campaign_fanout", json::Value(std::move(o)));
   }

@@ -32,11 +32,11 @@ namespace grunt::bench {
 
 /// Registers every campaign job kind above in JobRegistry::Global().
 /// Idempotent; call it before constructing a CampaignExecutor in a bench
-/// and at startup of any worker process that should serve bench campaigns.
+/// and at startup of grunt_campaign_worker.
 void RegisterCampaignJobs();
 
 /// The deterministic per-job simulation behind the "mini_campaign" kind and
-/// the micro-benches' fan-out scaling entries: an FNV-1a hash of the run's
+/// bench_micro_engine's thread-scaling entry: an FNV-1a hash of the run's
 /// result stream, comparable bit-for-bit across backends and worker counts.
 std::uint64_t MiniCampaignHash(std::uint64_t job);
 

@@ -5,7 +5,6 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <arpa/inet.h>
@@ -18,10 +17,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <thread>
 
 #include "dist/frame.h"
 #include "dist/job_registry.h"
-#include "dist/worker_loop.h"
 #include "util/env.h"
 #include "util/parallel_runner.h"
 
@@ -36,8 +35,8 @@ double MsSince(Clock::time_point t0) {
       .count();
 }
 
-/// Ignores SIGPIPE for the guard's lifetime: a write to a crashed worker
-/// must surface as EPIPE (crash containment), not kill the dispatcher.
+/// Ignores SIGPIPE for the guard's lifetime: a write to a dead worker must
+/// surface as EPIPE (crash containment), not kill the dispatcher.
 class SigPipeGuard {
  public:
   SigPipeGuard() {
@@ -51,20 +50,39 @@ class SigPipeGuard {
   struct sigaction old_ {};
 };
 
-std::string DescribeExit(pid_t pid, int status) {
-  char buf[128];
-  if (WIFSIGNALED(status)) {
-    std::snprintf(buf, sizeof(buf), "pid %d killed by signal %d (%s)",
-                  static_cast<int>(pid), WTERMSIG(status),
-                  ::strsignal(WTERMSIG(status)));
-  } else if (WIFEXITED(status)) {
-    std::snprintf(buf, sizeof(buf), "pid %d exited with status %d",
-                  static_cast<int>(pid), WEXITSTATUS(status));
-  } else {
-    std::snprintf(buf, sizeof(buf), "pid %d ended (status 0x%x)",
-                  static_cast<int>(pid), status);
+/// Reads the reply to the job a lane has in flight (`inflight`, -1 when
+/// idle) into *out. Returns why the lane must be dropped instead, or "" for
+/// a well-formed answer to that job.
+std::string ReadResult(int fd, std::ptrdiff_t inflight, JobOutcome* out) {
+  Frame frame;
+  try {
+    if (!ReadFrame(fd, &frame)) return "died";
+  } catch (const FrameError& e) {
+    return std::string("broke the protocol: ") + e.what();
   }
-  return buf;
+  if (frame.type != FrameType::kResult) {
+    return "broke the protocol: unexpected frame type " +
+           std::to_string(static_cast<int>(frame.type));
+  }
+  std::int64_t reported = -1;
+  try {
+    const json::Value v = json::Parse(frame.payload);
+    reported = v.At("job").AsInt64();
+    out->ok = v.At("ok").AsBool();
+    if (out->ok) {
+      out->result = v.At("result");
+    } else {
+      out->error = v.At("error").AsString();
+    }
+  } catch (const std::exception& e) {
+    return std::string("sent an unparseable result: ") + e.what();
+  }
+  // A worker that failed to parse its job frame reports job -1.
+  if (inflight < 0 || (reported >= 0 && reported != inflight)) {
+    return "answered for job " + std::to_string(reported) +
+           " it was never sent";
+  }
+  return "";
 }
 
 }  // namespace
@@ -72,7 +90,6 @@ std::string DescribeExit(pid_t pid, int status) {
 const char* BackendName(Backend b) {
   switch (b) {
     case Backend::kThread: return "thread";
-    case Backend::kProcess: return "process";
     case Backend::kSocket: return "socket";
   }
   return "?";
@@ -80,10 +97,9 @@ const char* BackendName(Backend b) {
 
 Backend ParseBackend(const std::string& text) {
   if (text == "thread") return Backend::kThread;
-  if (text == "process") return Backend::kProcess;
   if (text == "socket") return Backend::kSocket;
   throw util::EnvError("GRUNT_BENCH_BACKEND=\"" + text +
-                       "\": expected one of thread|process|socket");
+                       "\": expected one of thread|socket");
 }
 
 ExecutorConfig ConfigFromEnv() {
@@ -101,29 +117,17 @@ ExecutorConfig ConfigFromEnv() {
   return cfg;
 }
 
-/// One worker attachment: the fd pair it is fed over, the process behind
-/// it (fork lanes), and what it is currently running.
+/// One connected socket worker and the job it is running.
 struct CampaignExecutor::Lane {
   unsigned id = 0;
-  int to_fd = -1;    ///< dispatcher -> worker
-  int from_fd = -1;  ///< worker -> dispatcher
-  pid_t pid = -1;    ///< fork lanes only
+  int fd = -1;                   ///< -1 once the lane is dropped
   std::ptrdiff_t inflight = -1;  ///< job index, -1 when idle
   Clock::time_point dispatched_at;
-  bool down = false;
-
-  bool alive() const { return !down && from_fd >= 0; }
-
-  void CloseFds() {
-    if (to_fd >= 0 && to_fd != from_fd) ::close(to_fd);
-    if (from_fd >= 0) ::close(from_fd);
-    to_fd = from_fd = -1;
-  }
 };
 
 /// Interned ids for the per-worker counters in cfg_.bus->metrics().
 struct CampaignExecutor::Metrics {
-  telemetry::MetricsRegistry::Id jobs_ok, jobs_failed, restarts, job_ms;
+  telemetry::MetricsRegistry::Id jobs_ok, jobs_failed, job_ms;
   struct PerWorker {
     telemetry::MetricsRegistry::Id jobs, steals, busy_ms;
   };
@@ -139,7 +143,6 @@ CampaignExecutor::CampaignExecutor(ExecutorConfig cfg)
     auto& reg = cfg_.bus->metrics();
     metrics_->jobs_ok = reg.Counter("campaign.jobs_ok");
     metrics_->jobs_failed = reg.Counter("campaign.jobs_failed");
-    metrics_->restarts = reg.Counter("campaign.worker_restarts");
     metrics_->job_ms = reg.Histogram(
         "campaign.job_ms",
         {1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000});
@@ -147,42 +150,44 @@ CampaignExecutor::CampaignExecutor(ExecutorConfig cfg)
 }
 
 CampaignExecutor::~CampaignExecutor() {
-  ShutdownLanes();
+  SigPipeGuard guard;
+  for (auto& lane : lanes_) {
+    if (lane->fd < 0) continue;
+    try {
+      WriteFrame(lane->fd, Frame{FrameType::kShutdown, ""});
+    } catch (const FrameError&) {
+      // already gone; closing is all that is left
+    }
+    ::close(lane->fd);
+  }
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
-void CampaignExecutor::ShutdownLanes() {
-  SigPipeGuard guard;
-  for (auto& lane : lanes_) {
-    if (lane->from_fd < 0 && lane->to_fd < 0) continue;
-    if (!lane->down && lane->to_fd >= 0) {
-      try {
-        WriteFrame(lane->to_fd, Frame{FrameType::kShutdown, ""});
-      } catch (const FrameError&) {
-        // already dead; reaped below
-      }
-    }
-    lane->CloseFds();
-    if (lane->pid > 0) {
-      int status = 0;
-      ::waitpid(lane->pid, &status, 0);
-      lane->pid = -1;
-    }
+void CampaignExecutor::AddWorker(std::string name) {
+  WorkerStats st;
+  st.worker = static_cast<unsigned>(stats_.size());
+  st.name = std::move(name);
+  if (metrics_ != nullptr) {
+    auto& reg = cfg_.bus->metrics();
+    const std::string prefix =
+        "campaign.worker." + std::to_string(st.worker) + ".";
+    metrics_->worker.push_back({reg.Counter(prefix + "jobs"),
+                                reg.Counter(prefix + "steals"),
+                                reg.Gauge(prefix + "busy_ms")});
   }
-  lanes_.clear();
+  stats_.push_back(std::move(st));
 }
 
-void CampaignExecutor::RecordResult(Lane& lane, std::size_t index, bool ok,
-                                    double latency_ms) {
-  WorkerStats& st = stats_[lane.id];
+void CampaignExecutor::RecordJob(unsigned worker, std::size_t index,
+                                 bool stolen, bool ok, double latency_ms) {
+  WorkerStats& st = stats_[worker];
   st.jobs += 1;
-  const bool stolen = !lanes_.empty() && index % lanes_.size() != lane.id;
   if (stolen) st.steals += 1;
   if (!ok) st.failures += 1;
   st.busy_ms += latency_ms;
   if (cfg_.bus != nullptr) {
     auto& reg = cfg_.bus->metrics();
-    auto& per = metrics_->worker[lane.id];
+    auto& per = metrics_->worker[worker];
     reg.Add(per.jobs);
     if (stolen) reg.Add(per.steals);
     reg.Set(per.busy_ms, st.busy_ms);
@@ -190,64 +195,12 @@ void CampaignExecutor::RecordResult(Lane& lane, std::size_t index, bool ok,
     reg.Observe(metrics_->job_ms, latency_ms);
     telemetry::CampaignJobEvent ev;
     ev.job_index = index;
-    ev.worker = lane.id;
+    ev.worker = worker;
     ev.stolen = stolen;
     ev.ok = ok;
     ev.latency_ms = latency_ms;
     cfg_.bus->campaign_job().Publish(ev);
   }
-}
-
-std::unique_ptr<CampaignExecutor::Lane> CampaignExecutor::SpawnForkLane(
-    unsigned id) {
-  int to_child[2];    // dispatcher writes jobs
-  int from_child[2];  // worker writes results
-  if (::pipe(to_child) != 0 || ::pipe(from_child) != 0) {
-    throw CampaignError(std::string("process backend: pipe() failed: ") +
-                            std::strerror(errno),
-                        0, "", Backend::kProcess);
-  }
-  // Children inherit the parent's stdio buffers: flush before forking so a
-  // bench's already-printed (but still buffered) output is not replayed by
-  // every worker — table1 stdout must stay byte-identical.
-  std::fflush(stdout);
-  std::fflush(stderr);
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    ::close(from_child[0]);
-    ::close(from_child[1]);
-    throw CampaignError(std::string("process backend: fork() failed: ") +
-                            std::strerror(errno),
-                        0, "", Backend::kProcess);
-  }
-  if (pid == 0) {
-    // Worker child. Drop every fd that belongs to the dispatcher or to a
-    // sibling lane: a sibling holding a dead worker's pipe write-end alive
-    // would mask that worker's EOF and break crash detection.
-    ::close(to_child[1]);
-    ::close(from_child[0]);
-    for (const auto& other : lanes_) {
-      if (other->to_fd >= 0) ::close(other->to_fd);
-      if (other->from_fd >= 0 && other->from_fd != other->to_fd) {
-        ::close(other->from_fd);
-      }
-    }
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    const int rc = RunWorkerLoop(to_child[0], from_child[1]);
-    // _exit: never run the parent's atexit handlers / flush its inherited
-    // stdio from a forked image.
-    ::_exit(rc);
-  }
-  ::close(to_child[0]);
-  ::close(from_child[1]);
-  auto lane = std::make_unique<Lane>();
-  lane->id = id;
-  lane->to_fd = to_child[1];
-  lane->from_fd = from_child[0];
-  lane->pid = pid;
-  return lane;
 }
 
 std::uint16_t CampaignExecutor::BindListener() {
@@ -335,105 +288,29 @@ void CampaignExecutor::AcceptSocketLanes(std::size_t want) {
     }
     auto lane = std::make_unique<Lane>();
     lane->id = static_cast<unsigned>(lanes_.size());
-    lane->to_fd = fd;
-    lane->from_fd = fd;
-    if (stats_.size() <= lane->id) {
-      WorkerStats st;
-      st.worker = lane->id;
-      st.name = name;
-      stats_.push_back(st);
-      if (metrics_ != nullptr) {
-        auto& reg = cfg_.bus->metrics();
-        const std::string prefix =
-            "campaign.worker." + std::to_string(lane->id) + ".";
-        metrics_->worker.push_back(
-            {reg.Counter(prefix + "jobs"), reg.Counter(prefix + "steals"),
-             reg.Gauge(prefix + "busy_ms")});
-      }
-    }
+    lane->fd = fd;
+    AddWorker(name);
     std::fprintf(stderr, "campaign executor: worker %u (\"%s\") joined\n",
                  lane->id, name.c_str());
     lanes_.push_back(std::move(lane));
   }
 }
 
-void CampaignExecutor::EnsureLanes(std::size_t jobs_hint) {
-  // Never spin up more lanes than the largest batch can feed; a persistent
-  // pool keeps whatever size its first Run established.
-  const std::size_t want =
-      std::max<std::size_t>(1, std::min<std::size_t>(workers_, jobs_hint));
-  if (cfg_.backend == Backend::kSocket) {
-    AcceptSocketLanes(std::max<std::size_t>(want, lanes_.size()));
-    return;
-  }
-  while (lanes_.size() < want) {
-    const auto id = static_cast<unsigned>(lanes_.size());
-    if (stats_.size() <= id) {
-      WorkerStats st;
-      st.worker = id;
-      st.name = "fork";
-      stats_.push_back(st);
-      if (metrics_ != nullptr) {
-        auto& reg = cfg_.bus->metrics();
-        const std::string prefix =
-            "campaign.worker." + std::to_string(id) + ".";
-        metrics_->worker.push_back(
-            {reg.Counter(prefix + "jobs"), reg.Counter(prefix + "steals"),
-             reg.Gauge(prefix + "busy_ms")});
-      }
-    }
-    auto lane = SpawnForkLane(id);
-    stats_[id].pid = lane->pid;
-    lanes_.push_back(std::move(lane));
-  }
-}
-
-bool CampaignExecutor::SendJobTo(Lane& lane, const std::string& kind,
-                                 const std::vector<JobSpec>& jobs,
-                                 std::size_t index) {
-  json::Object job;
-  job.emplace_back("job", static_cast<std::int64_t>(index));
-  job.emplace_back("kind", kind);
-  job.emplace_back("seed", static_cast<std::int64_t>(jobs[index].seed));
-  job.emplace_back("args", jobs[index].args);
-  try {
-    WriteFrame(lane.to_fd,
-               Frame{FrameType::kJob, json::Value(std::move(job)).Dump(0)});
-  } catch (const FrameError&) {
-    // The job never reached the worker; it is safe to run elsewhere.
-    requeue_.push_back(index);
-    return false;
-  }
-  lane.inflight = static_cast<std::ptrdiff_t>(index);
-  lane.dispatched_at = Clock::now();
-  return true;
-}
-
 void CampaignExecutor::HandleLaneDeath(Lane& lane, const std::string& why,
                                        const std::string& kind,
                                        std::vector<JobOutcome>* outcomes) {
-  std::string diag = why;
-  if (lane.pid > 0) {
-    int status = 0;
-    if (::waitpid(lane.pid, &status, 0) == lane.pid) {
-      diag += " (" + DescribeExit(lane.pid, status) + ")";
-    }
-    lane.pid = -1;
-  }
-  lane.CloseFds();
-  lane.down = true;
-  if (lane.inflight >= 0) {
-    const auto index = static_cast<std::size_t>(lane.inflight);
-    JobOutcome& out = (*outcomes)[index];
-    out.ok = false;
-    out.error = "worker " + std::to_string(lane.id) + " " + diag +
-                " while running job " + std::to_string(index) +
-                " of kind \"" + kind + "\" on the " +
-                BackendName(cfg_.backend) + " backend";
-    RecordResult(lane, index, /*ok=*/false,
-                 MsSince(lane.dispatched_at));
-    lane.inflight = -1;
-  }
+  ::close(lane.fd);
+  lane.fd = -1;
+  if (lane.inflight < 0) return;
+  const auto index = static_cast<std::size_t>(lane.inflight);
+  JobOutcome& out = (*outcomes)[index];
+  out.ok = false;
+  out.error = "worker " + std::to_string(lane.id) + " " + why +
+              " while running job " + std::to_string(index) + " of kind \"" +
+              kind + "\" on the " + BackendName(cfg_.backend) + " backend";
+  RecordJob(lane.id, index, index % lanes_.size() != lane.id, /*ok=*/false,
+            MsSince(lane.dispatched_at));
+  lane.inflight = -1;
 }
 
 void CampaignExecutor::DispatchLoop(const std::string& kind,
@@ -442,65 +319,52 @@ void CampaignExecutor::DispatchLoop(const std::string& kind,
   const std::size_t n = jobs.size();
   std::size_t next = 0;
   std::size_t decided = 0;
+  std::vector<std::size_t> requeue;  // jobs whose dispatch write failed
 
-  const auto take_next = [&]() -> std::ptrdiff_t {
-    if (!requeue_.empty()) {
-      const std::size_t j = requeue_.back();
-      requeue_.pop_back();
-      return static_cast<std::ptrdiff_t>(j);
-    }
-    if (next < n) return static_cast<std::ptrdiff_t>(next++);
-    return -1;
-  };
-
-  // Count already-decided outcomes (requeue bookkeeping keeps this 0 in
-  // practice; defensive for repeated failures).
-  const auto count_decided = [&] {
-    std::size_t c = 0;
-    for (const auto& o : *outcomes) {
-      if (o.ok || !o.error.empty()) ++c;
-    }
-    return c;
-  };
-
-  // Feed an initial job to every idle lane, in lane order, so job i seeds
-  // worker i and the steal counter has a stable baseline.
+  // Hands the next job to an idle lane. A failed write means the job never
+  // reached the worker, so it is requeued for another lane and this lane
+  // is dropped. A live lane therefore only idles once no job is waiting.
   const auto feed = [&](Lane& lane) {
-    while (lane.alive() && lane.inflight < 0) {
-      const std::ptrdiff_t j = take_next();
-      if (j < 0) return;
-      if (!SendJobTo(lane, kind, jobs, static_cast<std::size_t>(j))) {
-        HandleLaneDeath(lane, "disconnected at dispatch", kind, outcomes);
-        if (cfg_.backend == Backend::kProcess) {
-          auto fresh = SpawnForkLane(lane.id);
-          stats_[lane.id].restarts += 1;
-          stats_[lane.id].pid = fresh->pid;
-          if (metrics_ != nullptr) cfg_.bus->metrics().Add(metrics_->restarts);
-          // Replace in place; keep polling order stable.
-          fresh->down = false;
-          lanes_[lane.id].swap(fresh);
-          return;  // the fresh lane is fed on the next loop turn
-        }
-        return;
-      }
+    if (lane.fd < 0) return;
+    std::size_t index;
+    if (!requeue.empty()) {
+      index = requeue.back();
+      requeue.pop_back();
+    } else if (next < n) {
+      index = next++;
+    } else {
+      return;
     }
+    json::Object job;
+    job.emplace_back("job", static_cast<std::int64_t>(index));
+    job.emplace_back("kind", kind);
+    job.emplace_back("seed", static_cast<std::int64_t>(jobs[index].seed));
+    job.emplace_back("args", jobs[index].args);
+    try {
+      WriteFrame(lane.fd, Frame{FrameType::kJob,
+                                json::Value(std::move(job)).Dump(0)});
+    } catch (const FrameError&) {
+      requeue.push_back(index);
+      HandleLaneDeath(lane, "disconnected at dispatch", kind, outcomes);
+      return;
+    }
+    lane.inflight = static_cast<std::ptrdiff_t>(index);
+    lane.dispatched_at = Clock::now();
   };
+  // Job i seeds lane i, so the steal counter has a stable baseline.
   for (auto& lane : lanes_) feed(*lane);
 
   std::vector<pollfd> pfds;
+  std::vector<Lane*> polled;
   while (decided < n) {
-    bool any_alive = false;
-    bool any_inflight = false;
     pfds.clear();
-    for (const auto& lane : lanes_) {
-      if (!lane->alive()) continue;
-      any_alive = true;
-      if (lane->inflight >= 0) any_inflight = true;
-      pfds.push_back(pollfd{lane->from_fd, POLLIN, 0});
+    polled.clear();
+    for (auto& lane : lanes_) {
+      if (lane->fd < 0) continue;
+      pfds.push_back(pollfd{lane->fd, POLLIN, 0});
+      polled.push_back(lane.get());
     }
-    if (!any_alive) {
-      // Process backend respawns in feed(); landing here means forks are
-      // failing or this is the socket backend with every worker gone.
+    if (polled.empty()) {
       for (std::size_t j = 0; j < n; ++j) {
         JobOutcome& out = (*outcomes)[j];
         if (!out.ok && out.error.empty()) {
@@ -511,109 +375,35 @@ void CampaignExecutor::DispatchLoop(const std::string& kind,
       }
       return;
     }
-    if (!any_inflight) {
-      // Lanes are idle yet jobs are undecided: feed them (covers the
-      // respawn-in-feed path) and re-check.
-      for (auto& lane : lanes_) feed(*lane);
-      decided = count_decided();
-      if (decided >= n) return;
-      bool fed = false;
-      for (const auto& lane : lanes_) fed |= lane->inflight >= 0;
-      if (!fed) continue;  // will hit !any_alive next turn if all died
-      continue;
-    }
-
-    int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1);
+    const int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1);
     if (rc < 0) {
       if (errno == EINTR) continue;
       throw CampaignError(std::string("dispatcher poll() failed: ") +
                               std::strerror(errno),
                           0, kind, cfg_.backend);
     }
-    std::size_t pi = 0;
-    for (auto& lane : lanes_) {
-      if (!lane->alive()) continue;
-      const pollfd& pfd = pfds[pi++];
-      if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      Frame frame;
-      bool got = false;
-      try {
-        got = ReadFrame(lane->from_fd, &frame);
-      } catch (const FrameError& e) {
-        HandleLaneDeath(*lane, std::string("broke the protocol: ") +
-                                   e.what(),
-                        kind, outcomes);
-        decided = count_decided();
-        feed(*lane);
-        continue;
-      }
-      if (!got) {
-        HandleLaneDeath(*lane, "died", kind, outcomes);
-        decided = count_decided();
-        if (cfg_.backend == Backend::kProcess &&
-            (lane->inflight < 0) && decided < n) {
-          // Respawn so the remaining jobs keep a full pool.
-          auto fresh = SpawnForkLane(lane->id);
-          stats_[lane->id].restarts += 1;
-          stats_[lane->id].pid = fresh->pid;
-          if (metrics_ != nullptr) {
-            cfg_.bus->metrics().Add(metrics_->restarts);
-          }
-          lanes_[lane->id].swap(fresh);
-          feed(*lanes_[lane->id]);
-        }
-        continue;
-      }
-      if (frame.type != FrameType::kResult) {
-        HandleLaneDeath(*lane,
-                        "broke the protocol: unexpected frame type " +
-                            std::to_string(static_cast<int>(frame.type)),
-                        kind, outcomes);
-        decided = count_decided();
-        continue;
-      }
-      std::size_t index;
+    for (std::size_t i = 0; i < polled.size(); ++i) {
+      if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      Lane& lane = *polled[i];
       JobOutcome out;
-      try {
-        const json::Value v = json::Parse(frame.payload);
-        const std::int64_t reported = v.At("job").AsInt64();
-        index = reported >= 0 ? static_cast<std::size_t>(reported)
-                              : static_cast<std::size_t>(lane->inflight);
-        out.ok = v.At("ok").AsBool();
-        if (out.ok) {
-          out.result = v.At("result");
-        } else {
-          out.error = v.At("error").AsString();
-        }
-      } catch (const std::exception& e) {
-        HandleLaneDeath(*lane, std::string("sent an unparseable result: ") +
-                                   e.what(),
-                        kind, outcomes);
-        decided = count_decided();
+      const std::string why = ReadResult(lane.fd, lane.inflight, &out);
+      if (lane.inflight >= 0) ++decided;  // answered, or failed below
+      if (!why.empty()) {
+        HandleLaneDeath(lane, why, kind, outcomes);
         continue;
       }
-      if (lane->inflight < 0 ||
-          index != static_cast<std::size_t>(lane->inflight) || index >= n) {
-        HandleLaneDeath(*lane,
-                        "answered for job " + std::to_string(index) +
-                            " it was never sent",
-                        kind, outcomes);
-        decided = count_decided();
-        continue;
-      }
+      const auto index = static_cast<std::size_t>(lane.inflight);
       if (!out.ok) {
         // Keep the campaign-cell context on worker-side failures too.
         out.error = "job " + std::to_string(index) + " of kind \"" + kind +
-                    "\" failed on worker " + std::to_string(lane->id) +
-                    " (" + BackendName(cfg_.backend) +
-                    " backend): " + out.error;
+                    "\" failed on worker " + std::to_string(lane.id) + " (" +
+                    BackendName(cfg_.backend) + " backend): " + out.error;
       }
+      RecordJob(lane.id, index, index % lanes_.size() != lane.id, out.ok,
+                MsSince(lane.dispatched_at));
       (*outcomes)[index] = std::move(out);
-      ++decided;
-      RecordResult(*lane, index, (*outcomes)[index].ok,
-                   MsSince(lane->dispatched_at));
-      lane->inflight = -1;
-      feed(*lane);
+      lane.inflight = -1;
+      feed(lane);
     }
   }
 }
@@ -623,8 +413,10 @@ std::vector<JobOutcome> CampaignExecutor::RunThreadBackend(
   const std::size_t n = jobs.size();
   std::vector<JobOutcome> outcomes(n);
   std::vector<double> latency_ms(n, 0.0);
+  std::vector<std::thread::id> ran_on(n);
   util::ParallelRunner pool(workers_);
   pool.ForEachIndex(n, [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
     const auto t0 = Clock::now();
     try {
       outcomes[i].result = RunRegisteredJob(kind, jobs[i].args,
@@ -642,40 +434,19 @@ std::vector<JobOutcome> CampaignExecutor::RunThreadBackend(
     }
     latency_ms[i] = MsSince(t0);
   });
-  // The bus channels are not thread-safe, so the thread backend publishes
-  // after the barrier, in job-index order (one lane: worker 0).
-  if (stats_.empty()) {
-    WorkerStats st;
-    st.worker = 0;
-    st.name = "thread";
-    stats_.push_back(st);
-    if (metrics_ != nullptr) {
-      auto& reg = cfg_.bus->metrics();
-      metrics_->worker.push_back({reg.Counter("campaign.worker.0.jobs"),
-                                  reg.Counter("campaign.worker.0.steals"),
-                                  reg.Gauge("campaign.worker.0.busy_ms")});
-    }
+  // The bus channels are not thread-safe, so the thread backend records
+  // after the barrier, in job-index order. The pool runs min(workers, n)
+  // threads; each is numbered by the first job it ran, and one that ran
+  // none keeps an entry with zero jobs.
+  while (stats_.size() < std::min<std::size_t>(workers_, n)) {
+    AddWorker("thread");
   }
+  std::vector<std::thread::id> slots;
   for (std::size_t i = 0; i < n; ++i) {
-    WorkerStats& st = stats_[0];
-    st.jobs += 1;
-    if (!outcomes[i].ok) st.failures += 1;
-    st.busy_ms += latency_ms[i];
-    if (cfg_.bus != nullptr) {
-      auto& reg = cfg_.bus->metrics();
-      auto& per = metrics_->worker[0];
-      reg.Add(per.jobs);
-      reg.Set(per.busy_ms, st.busy_ms);
-      reg.Add(outcomes[i].ok ? metrics_->jobs_ok : metrics_->jobs_failed);
-      reg.Observe(metrics_->job_ms, latency_ms[i]);
-      telemetry::CampaignJobEvent ev;
-      ev.job_index = i;
-      ev.worker = 0;
-      ev.stolen = false;
-      ev.ok = outcomes[i].ok;
-      ev.latency_ms = latency_ms[i];
-      cfg_.bus->campaign_job().Publish(ev);
-    }
+    auto slot = std::find(slots.begin(), slots.end(), ran_on[i]);
+    if (slot == slots.end()) slot = slots.insert(slots.end(), ran_on[i]);
+    RecordJob(static_cast<unsigned>(slot - slots.begin()), i,
+              /*stolen=*/false, outcomes[i].ok, latency_ms[i]);
   }
   return outcomes;
 }
@@ -687,9 +458,10 @@ std::vector<JobOutcome> CampaignExecutor::RunAll(
     return RunThreadBackend(kind, jobs);
   }
   SigPipeGuard guard;
-  EnsureLanes(jobs.size());
+  // Never wait for more workers than the batch can feed; a persistent pool
+  // keeps whatever size its first Run established.
+  AcceptSocketLanes(std::min<std::size_t>(workers_, jobs.size()));
   std::vector<JobOutcome> outcomes(jobs.size());
-  requeue_.clear();
   DispatchLoop(kind, jobs, &outcomes);
   return outcomes;
 }
@@ -717,13 +489,9 @@ json::Value CampaignExecutor::StatsJson() const {
     json::Object o;
     o.emplace_back("worker", static_cast<std::int64_t>(st.worker));
     o.emplace_back("name", st.name);
-    if (st.pid > 0) {
-      o.emplace_back("pid", static_cast<std::int64_t>(st.pid));
-    }
     o.emplace_back("jobs", static_cast<std::int64_t>(st.jobs));
     o.emplace_back("steals", static_cast<std::int64_t>(st.steals));
     o.emplace_back("failures", static_cast<std::int64_t>(st.failures));
-    o.emplace_back("restarts", static_cast<std::int64_t>(st.restarts));
     o.emplace_back("busy_ms",
                    std::round(st.busy_ms * 1000.0) / 1000.0);
     per.push_back(json::Value(std::move(o)));

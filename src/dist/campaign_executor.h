@@ -4,27 +4,24 @@
 //
 // A campaign — the Table-1 damage sweep, a Fig-11 pairwise grid, an
 // ablation — is hundreds of independent simulations. CampaignExecutor runs
-// a batch of registered jobs (job_registry.h) on one of three
+// a batch of registered jobs (job_registry.h) on one of two
 // interchangeable backends behind the same index-ordered contract the
 // in-process ParallelRunner established:
 //
-//   kThread   the existing thread pool — jobs run in this process.
-//   kProcess  pre-forked worker processes fed length-prefixed frames over
-//             pipes: allocator isolation, crash containment (a worker
-//             abort fails one job, not the campaign), and better scaling
-//             on high-core boxes.
-//   kSocket   the same framed protocol over TCP, so
-//             tools/grunt_campaign_worker can join from other machines.
+//   kThread   the ParallelRunner thread pool — jobs run in this process.
+//   kSocket   length-prefixed frames over TCP to grunt_campaign_worker
+//             processes on this or other machines. A worker that dies
+//             fails only the job it was running: its lane is dropped and
+//             the other lanes finish the campaign.
 //
-// Dispatch is work-stealing in the self-scheduling sense: job i is seeded
-// to lane i, and every later job goes to whichever worker frees up first
-// (a job landing off its static shard counts as a steal in WorkerStats).
-// Results are merged in job-index order, and job descriptions/results
-// serialize through byte-stable util/json — so campaign output is
-// bit-identical across backends and worker counts. Worker pools persist
-// across Run() calls (pre-forked once, shut down in the destructor).
-
-#include <sys/types.h>
+// Socket dispatch is work-stealing in the self-scheduling sense: job i is
+// seeded to lane i, and every later job goes to whichever worker frees up
+// first (a job landing off its static shard counts as a steal in
+// WorkerStats). Results are merged in job-index order, and job
+// descriptions/results serialize through byte-stable util/json — so
+// campaign output is bit-identical across backends and worker counts. The
+// socket pool persists across Run() calls (accepted once, shut down in the
+// destructor).
 
 #include <cstdint>
 #include <memory>
@@ -37,10 +34,10 @@
 
 namespace grunt::dist {
 
-enum class Backend : std::uint8_t { kThread, kProcess, kSocket };
+enum class Backend : std::uint8_t { kThread, kSocket };
 
 const char* BackendName(Backend b);
-/// "thread" | "process" | "socket"; anything else throws util::EnvError.
+/// "thread" | "socket"; anything else throws util::EnvError.
 Backend ParseBackend(const std::string& text);
 
 struct ExecutorConfig {
@@ -60,7 +57,7 @@ struct ExecutorConfig {
   telemetry::TelemetryBus* bus = nullptr;
 };
 
-/// GRUNT_BENCH_BACKEND (thread|process|socket), GRUNT_BENCH_WORKERS,
+/// GRUNT_BENCH_BACKEND (thread|socket), GRUNT_BENCH_WORKERS,
 /// GRUNT_BENCH_LISTEN_PORT, GRUNT_BENCH_LISTEN_HOST. Set-but-invalid
 /// values throw util::EnvError (same contract as GRUNT_BENCH_THREADS).
 ExecutorConfig ConfigFromEnv();
@@ -80,15 +77,15 @@ struct JobOutcome {
   std::string error;   ///< diagnosis when !ok (includes crash context)
 };
 
+/// One socket lane, or one thread-pool thread (numbered by the first job
+/// it ran in each batch).
 struct WorkerStats {
   unsigned worker = 0;
-  std::string name;        ///< socket hello name; "fork" / "thread" else
-  pid_t pid = -1;          ///< process backend
+  std::string name;            ///< socket hello name; "thread" for the pool
   std::uint64_t jobs = 0;
-  std::uint64_t steals = 0;    ///< jobs run off their static shard
-  std::uint64_t failures = 0;  ///< error outcomes (incl. crashes)
-  unsigned restarts = 0;       ///< times the lane's process was respawned
-  double busy_ms = 0;          ///< summed dispatch-to-result wall time
+  std::uint64_t steals = 0;    ///< socket jobs run off their static shard
+  std::uint64_t failures = 0;  ///< error outcomes (incl. worker deaths)
+  double busy_ms = 0;          ///< summed per-job wall time
 };
 
 /// What Run() throws for the lowest-indexed failed job: the message carries
@@ -129,7 +126,7 @@ class CampaignExecutor {
 
   /// Runs registry[kind](jobs[i].args, jobs[i].seed) for every i and
   /// returns the outcomes in job-index order. Individual failures (thrown
-  /// jobs, crashed workers) land in their JobOutcome; RunAll itself throws
+  /// jobs, dead workers) land in their JobOutcome; RunAll itself throws
   /// only for setup-level faults (unparseable config, no workers joined).
   std::vector<JobOutcome> RunAll(const std::string& kind,
                                  const std::vector<JobSpec>& jobs);
@@ -151,20 +148,16 @@ class CampaignExecutor {
   struct Lane;
   struct Metrics;
 
-  void EnsureLanes(std::size_t jobs_hint);
-  std::unique_ptr<Lane> SpawnForkLane(unsigned id);
+  void AddWorker(std::string name);
   void AcceptSocketLanes(std::size_t want);
   void DispatchLoop(const std::string& kind,
                     const std::vector<JobSpec>& jobs,
                     std::vector<JobOutcome>* outcomes);
-  bool SendJobTo(Lane& lane, const std::string& kind,
-                 const std::vector<JobSpec>& jobs, std::size_t index);
   void HandleLaneDeath(Lane& lane, const std::string& why,
                        const std::string& kind,
                        std::vector<JobOutcome>* outcomes);
-  void RecordResult(Lane& lane, std::size_t index, bool ok,
-                    double latency_ms);
-  void ShutdownLanes();
+  void RecordJob(unsigned worker, std::size_t index, bool stolen, bool ok,
+                 double latency_ms);
 
   std::vector<JobOutcome> RunThreadBackend(const std::string& kind,
                                            const std::vector<JobSpec>& jobs);
@@ -175,7 +168,6 @@ class CampaignExecutor {
   std::uint16_t bound_port_ = 0;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<WorkerStats> stats_;
-  std::vector<std::size_t> requeue_;  ///< jobs whose dispatch write failed
   std::unique_ptr<Metrics> metrics_;  ///< interned ids into cfg_.bus
 };
 

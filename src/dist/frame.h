@@ -1,9 +1,8 @@
 #pragma once
 
-// Length-prefixed framing for the out-of-process campaign backends.
+// Length-prefixed framing for the socket campaign backend.
 //
-// Wire format (identical over pre-forked worker pipes and TCP sockets, so
-// the protocol is tested once and shared by both):
+// Wire format (over any stream fd; in production a TCP socket):
 //
 //   u32 little-endian  length   (= 1 + payload size; never 0)
 //   u8                 type     (FrameType below)

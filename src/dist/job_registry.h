@@ -2,8 +2,8 @@
 
 // Named, serializable campaign jobs. A job kind is a pure function from
 // (JSON args, seed) to a JSON result; because the description is data, the
-// same job runs identically on the in-process thread pool, in a pre-forked
-// worker process, or on a remote machine that linked the same registrations
+// same job runs identically on the in-process thread pool or in a socket
+// worker on any machine that linked the same registrations
 // (tools/grunt_campaign_worker). Determinism rule: a kind must derive all
 // randomness from `seed` and all configuration from `args`, so every
 // backend and worker count produces byte-identical results.

@@ -17,11 +17,11 @@
 
 namespace grunt::dist {
 
-int RunWorkerLoop(int in_fd, int out_fd) {
+int RunWorkerLoop(int fd) {
   Frame frame;
   for (;;) {
     try {
-      if (!ReadFrame(in_fd, &frame)) return 0;  // dispatcher closed cleanly
+      if (!ReadFrame(fd, &frame)) return 0;  // dispatcher closed cleanly
     } catch (const FrameError& e) {
       std::fprintf(stderr, "grunt worker: %s\n", e.what());
       return 2;
@@ -53,7 +53,7 @@ int RunWorkerLoop(int in_fd, int out_fd) {
       reply.emplace_back("error", std::string(e.what()));
     }
     try {
-      WriteFrame(out_fd, Frame{FrameType::kResult,
+      WriteFrame(fd, Frame{FrameType::kResult,
                                json::Value(std::move(reply)).Dump(0)});
     } catch (const FrameError& e) {
       std::fprintf(stderr, "grunt worker: %s\n", e.what());
@@ -100,7 +100,7 @@ int RunSocketWorker(const std::string& host, std::uint16_t port,
   try {
     WriteFrame(fd, Frame{FrameType::kHello,
                          json::Value(std::move(hello)).Dump(0)});
-    rc = RunWorkerLoop(fd, fd);
+    rc = RunWorkerLoop(fd);
   } catch (const FrameError& e) {
     std::fprintf(stderr, "grunt worker: %s\n", e.what());
     rc = 2;

@@ -12,7 +12,7 @@
 //     "floors": {
 //       "engine.schedule_fire_events_per_sec": 6000000,
 //       "timer_heavy.wheel_speedup": 1.15,
-//       "?campaign_fanout.process_speedup_vs_thread": 1.15
+//       "?campaign_fanout.speedup": 2.0
 //     }
 //   }
 //

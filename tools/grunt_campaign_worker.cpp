@@ -1,6 +1,6 @@
 // Remote campaign worker: joins a CampaignExecutor's socket backend from
 // this (or any other) machine and serves the registered bench job kinds
-// over the same length-prefixed frame protocol the process backend uses.
+// over the length-prefixed frame protocol (src/dist/frame.h).
 //
 //   grunt_campaign_worker --connect HOST:PORT [--name NAME]
 //       Connect to a bench running with GRUNT_BENCH_BACKEND=socket and
@@ -8,16 +8,17 @@
 //   grunt_campaign_worker --list-kinds
 //       Print the job kinds this worker can serve, one per line.
 //   grunt_campaign_worker --selfcheck
-//       Fast end-to-end differential check used by CI: runs the same
-//       mini-campaign batch on the thread backend, the process backend (1
-//       and N workers) and the socket backend (an in-process worker thread
-//       joining over loopback), verifies every backend returns bit-identical
-//       results, and verifies a worker crash fails only its own job with a
-//       diagnosable error. Exits 0 on pass, 1 on fail.
+//       Fast end-to-end check used by CI: verifies that a socket worker
+//       process crashing mid-job fails only its own job with a diagnosable
+//       error, then runs the same mini-campaign batch on the thread backend
+//       (1 and N workers) and the socket backend (an in-process worker
+//       thread joining over loopback) and verifies every run returns
+//       bit-identical results. Exits 0 on pass, 1 on fail.
 //
 // Exit codes (--connect): 0 clean shutdown, 2 protocol violation,
 // 3 connect failure.
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -79,40 +80,48 @@ std::vector<std::uint64_t> RunMiniOn(dist::Backend backend,
   return HashesOf(exec.Run("mini_campaign", MiniJobs(n)));
 }
 
-/// CI's campaign smoke. Fork-based phases run before any thread is created
-/// (fork from a multi-threaded process is where sanitizers get unhappy);
-/// the socket phase, which needs a worker thread, runs last.
+/// CI's campaign smoke. The crash phase forks its socket workers, so it
+/// runs before any thread is created (fork from a multi-threaded process is
+/// where sanitizers get unhappy); the thread and loopback phases follow.
 int SelfCheck() {
   constexpr std::size_t kJobs = 6;
   int failures = 0;
 
-  // Reference: serial in-process run.
-  std::vector<std::uint64_t> expect;
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    expect.push_back(bench::MiniCampaignHash(i));
-  }
-
-  // Process backend, 1 worker and N workers, both bit-identical.
-  Check(RunMiniOn(dist::Backend::kProcess, 1, kJobs) == expect,
-        "process backend (1 worker) bit-identical", &failures);
-  Check(RunMiniOn(dist::Backend::kProcess, 3, kJobs) == expect,
-        "process backend (3 workers) bit-identical", &failures);
-
-  // Crash containment: the crashing kind kills its worker mid-job; exactly
-  // that job must fail, with the job index, kind and backend in the error,
-  // and every other job must still succeed (the lane respawns).
+  // Crash containment: two forked socket workers serve a batch whose job 2
+  // kills its worker mid-job. Exactly that job must fail, with the job
+  // index, kind and backend in the error, and the surviving worker must
+  // finish every other job.
   {
+    constexpr unsigned kWorkers = 2;
     dist::ExecutorConfig cfg;
-    cfg.backend = dist::Backend::kProcess;
-    cfg.workers = 2;
-    dist::CampaignExecutor exec(cfg);
-    std::vector<dist::JobSpec> jobs = MiniJobs(kJobs);
-    for (std::size_t i = 0; i < kJobs; ++i) {
-      json::Object o;
-      o.emplace_back("crash", i == 2);
-      jobs[i].args = json::Value(std::move(o));
-    }
-    const auto outcomes = exec.RunAll("selfcheck_maybe_crash", jobs);
+    cfg.backend = dist::Backend::kSocket;
+    cfg.workers = kWorkers;
+    cfg.accept_timeout_sec = 30.0;
+    std::vector<pid_t> children;
+    std::vector<dist::JobOutcome> outcomes;
+    {
+      dist::CampaignExecutor exec(cfg);
+      const std::uint16_t port = exec.BindListener();
+      std::fflush(nullptr);  // a child must not replay buffered output
+      for (unsigned w = 0; w < kWorkers; ++w) {
+        const pid_t child = ::fork();
+        if (child == 0) {
+          ::_exit(dist::RunSocketWorker("127.0.0.1", port,
+                                        "selfcheck-child"));
+        }
+        if (child > 0) children.push_back(child);
+      }
+      std::vector<dist::JobSpec> jobs = MiniJobs(kJobs);
+      for (std::size_t i = 0; i < kJobs; ++i) {
+        json::Object o;
+        o.emplace_back("crash", i == 2);
+        jobs[i].args = json::Value(std::move(o));
+      }
+      if (children.size() == kWorkers) {
+        outcomes = exec.RunAll("selfcheck_maybe_crash", jobs);
+      }
+    }  // destructor shuts the surviving worker down
+    for (const pid_t child : children) ::waitpid(child, nullptr, 0);
     bool others_ok = outcomes.size() == kJobs;
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       if (i == 2) continue;
@@ -125,17 +134,23 @@ int SelfCheck() {
         outcomes[2].error.find("job 2") != std::string::npos &&
         outcomes[2].error.find("selfcheck_maybe_crash") !=
             std::string::npos &&
-        outcomes[2].error.find("process") != std::string::npos;
+        outcomes[2].error.find("socket") != std::string::npos;
     Check(crashed_diagnosed,
           "worker crash: failed job carries index/kind/backend", &failures);
     if (!crashed_diagnosed && outcomes.size() == kJobs) {
       std::fprintf(stderr, "  error was: %s\n", outcomes[2].error.c_str());
     }
-    bool restarted = false;
-    for (const auto& st : exec.worker_stats()) restarted |= st.restarts > 0;
-    Check(restarted, "worker crash: lane respawned for remaining jobs",
-          &failures);
   }
+
+  // Reference: serial in-process run.
+  std::vector<std::uint64_t> expect;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    expect.push_back(bench::MiniCampaignHash(i));
+  }
+  Check(RunMiniOn(dist::Backend::kThread, 1, kJobs) == expect,
+        "thread backend (1 worker) bit-identical", &failures);
+  Check(RunMiniOn(dist::Backend::kThread, 3, kJobs) == expect,
+        "thread backend (3 workers) bit-identical", &failures);
 
   // Socket backend: an in-process worker thread joins over loopback and the
   // results still match bit-for-bit. The executor lives in a nested scope
