@@ -111,10 +111,11 @@ void BM_CancelHeavyCompaction(benchmark::State& state) {
 }
 BENCHMARK(BM_CancelHeavyCompaction);
 
-/// The RPC-timeout churn profile: schedule 1000 far-out kTimer timeouts from
-/// staggered issue times, cancel 99% of them (the replies that made it), let
-/// 1% fire. With the wheel this is O(1) bucket pushes and generation-bump
-/// cancels; on the heap every dead entry has to be sifted in and purged out.
+/// The RPC-timeout churn profile: schedule 1000 timeouts 25 ms or more out
+/// (past kFarDelay, so wheel-filed) from staggered issue times, cancel 99% of
+/// them (the replies that made it), let 1% fire. With the wheel this is O(1)
+/// bucket pushes and generation-bump cancels; on the heap every dead entry
+/// has to be sifted in and purged out.
 void TimerChurn(benchmark::State& state, bool use_wheel) {
   // One long-lived engine: each iteration is a steady-state churn round, not
   // a cold start, so the numbers isolate the timer path itself.
@@ -127,8 +128,8 @@ void TimerChurn(benchmark::State& state, bool use_wheel) {
     handles.clear();
     const SimTime base = sim.Now();
     for (int i = 0; i < 1000; ++i) {
-      handles.push_back(sim.At(base + i * Us(100) + Ms(25),
-                               sim::EventClass::kTimer, [&sink] { ++sink; }));
+      handles.push_back(
+          sim.At(base + i * Us(100) + Ms(25), [&sink] { ++sink; }));
     }
     for (int i = 0; i < 1000; ++i) {
       if (i % 100 != 0) handles[i].Cancel();
@@ -302,8 +303,8 @@ double MeasureTimerChurnPerSec(bool use_wheel,
     handles.clear();
     const SimTime base = sim.Now();
     for (int i = 0; i < kBatch; ++i) {
-      handles.push_back(sim.At(base + i * Us(100) + Ms(25),
-                               sim::EventClass::kTimer, [&sink] { ++sink; }));
+      handles.push_back(
+          sim.At(base + i * Us(100) + Ms(25), [&sink] { ++sink; }));
     }
     for (int i = 0; i < kBatch; ++i) {
       if (i % 100 != 0) handles[i].Cancel();

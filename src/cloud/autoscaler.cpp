@@ -16,7 +16,6 @@ void AutoScaler::Start() {
   if (running_) return;
   running_ = true;
   timer_ = cluster_.simulation().Every(monitor_.granularity(),
-                                       sim::EventClass::kTimer,
                                        [this] { Evaluate(); });
 }
 
@@ -44,8 +43,7 @@ void AutoScaler::Evaluate() {
     if (window.mean() > cfg_.up_threshold &&
         svc.replicas() < svc.spec().max_replicas) {
       last_action_[i] = now;
-      cluster_.simulation().After(cfg_.provision_delay,
-                                  sim::EventClass::kTimer, [this, sid] {
+      cluster_.simulation().After(cfg_.provision_delay, [this, sid] {
         auto& s = cluster_.service(sid);
         s.AddReplica();
         Record({cluster_.simulation().Now(), sid, +1, s.replicas()});

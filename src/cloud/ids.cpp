@@ -31,8 +31,7 @@ Ids::Ids(microsvc::Cluster& cluster, const ResourceMonitor* monitor,
 void Ids::Start() {
   if (running_) return;
   running_ = true;
-  timer_ = cluster_.simulation().Every(Sec(1), sim::EventClass::kTimer,
-                                       [this] { Evaluate(); });
+  timer_ = cluster_.simulation().Every(Sec(1), [this] { Evaluate(); });
 }
 
 void Ids::Stop() {

@@ -36,9 +36,7 @@ void ResourceMonitor::Start() {
     prev_busy_[i] = reg.ReadGauge(gauges_[i].busy_core_us);
   }
   prev_gateway_bytes_ = reg.ReadGauge(gateway_bytes_g_);
-  timer_ = cluster_.simulation().Every(cfg_.granularity,
-                                       sim::EventClass::kTimer,
-                                       [this] { Sample(); });
+  timer_ = cluster_.simulation().Every(cfg_.granularity, [this] { Sample(); });
 }
 
 void ResourceMonitor::Stop() {
@@ -114,9 +112,7 @@ ResponseTimeMonitor::ResponseTimeMonitor(microsvc::Cluster& cluster,
 void ResponseTimeMonitor::Start() {
   if (running_) return;
   running_ = true;
-  timer_ = cluster_.simulation().Every(cfg_.granularity,
-                                       sim::EventClass::kTimer,
-                                       [this] { Flush(); });
+  timer_ = cluster_.simulation().Every(cfg_.granularity, [this] { Flush(); });
 }
 
 void ResponseTimeMonitor::Stop() {
@@ -127,7 +123,6 @@ void ResponseTimeMonitor::Stop() {
 void ResponseTimeMonitor::Flush() {
   const SimTime now = cluster_.simulation().Now();
   legit_mean_ms_.Add(now, window_.mean());
-  legit_p95_ms_.Add(now, window_.Percentile(95));
   const double total =
       static_cast<double>(window_.count() + window_errors_);
   legit_throughput_.Add(now, total / ToSeconds(cfg_.granularity));

@@ -78,7 +78,7 @@ class ResourceMonitor {
 };
 
 /// Windows end-to-end response times of completed requests into a mean /
-/// p95 / count series per granularity tick. Separates legitimate traffic
+/// count series per granularity tick. Separates legitimate traffic
 /// from attack/probe traffic so benches can report "RT perceived by normal
 /// users" exactly as the paper does.
 ///
@@ -100,8 +100,6 @@ class ResponseTimeMonitor {
 
   /// Mean RT (ms) of legitimate requests completed per window (0 if none).
   const TimeSeries& legit_mean_ms() const { return legit_mean_ms_; }
-  /// p95 RT (ms) of legitimate requests per window.
-  const TimeSeries& legit_p95_ms() const { return legit_p95_ms_; }
   /// Legitimate completions per second per window (any outcome).
   const TimeSeries& legit_throughput() const { return legit_throughput_; }
   /// Successful legitimate completions per second per window.
@@ -137,7 +135,6 @@ class ResponseTimeMonitor {
   std::array<std::uint64_t, microsvc::kOutcomeCount> legit_outcomes_{};
   std::vector<std::pair<SimTime, double>> legit_all_;  ///< (end, rt_ms), kOk
   TimeSeries legit_mean_ms_;
-  TimeSeries legit_p95_ms_;
   TimeSeries legit_throughput_;
   TimeSeries goodput_;
   TimeSeries error_rate_;

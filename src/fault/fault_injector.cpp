@@ -33,7 +33,7 @@ void FaultInjector::FireCrash(microsvc::ServiceId svc, SimDuration downtime) {
     return;
   }
   if (downtime > 0) {
-    sim_.After(downtime, sim::EventClass::kTimer, [this, svc] {
+    sim_.After(downtime, [this, svc] {
       cluster_.service(svc).Restart();
       log_.push_back({sim_.Now(), FaultKind::kRestart, svc,
                       static_cast<double>(cluster_.service(svc).replicas()),
@@ -44,17 +44,16 @@ void FaultInjector::FireCrash(microsvc::ServiceId svc, SimDuration downtime) {
 
 void FaultInjector::ScheduleCrash(microsvc::ServiceId svc, SimTime at,
                                   SimDuration downtime) {
-  sim_.At(at, sim::EventClass::kTimer,
-          [this, svc, downtime] { FireCrash(svc, downtime); });
+  sim_.At(at, [this, svc, downtime] { FireCrash(svc, downtime); });
 }
 
 void FaultInjector::ScheduleSlow(microsvc::ServiceId svc, SimTime at,
                                  double factor, SimDuration duration) {
-  sim_.At(at, sim::EventClass::kTimer, [this, svc, factor, duration] {
+  sim_.At(at, [this, svc, factor, duration] {
     cluster_.service(svc).MultiplyDemandFactor(factor);
     log_.push_back({sim_.Now(), FaultKind::kSlowStart, svc, factor, true});
     if (duration > 0) {
-      sim_.After(duration, sim::EventClass::kTimer, [this, svc, factor] {
+      sim_.After(duration, [this, svc, factor] {
         cluster_.service(svc).MultiplyDemandFactor(1.0 / factor);
         log_.push_back({sim_.Now(), FaultKind::kSlowEnd, svc,
                         cluster_.service(svc).demand_factor(), true});
@@ -65,13 +64,13 @@ void FaultInjector::ScheduleSlow(microsvc::ServiceId svc, SimTime at,
 
 void FaultInjector::ScheduleNetSpike(SimTime at, SimDuration extra,
                                      SimDuration duration) {
-  sim_.At(at, sim::EventClass::kTimer, [this, extra, duration] {
+  sim_.At(at, [this, extra, duration] {
     cluster_.AddExtraNetLatency(extra);
     log_.push_back({sim_.Now(), FaultKind::kNetSpikeStart,
                     microsvc::kInvalidService, static_cast<double>(extra),
                     true});
     if (duration > 0) {
-      sim_.After(duration, sim::EventClass::kTimer, [this, extra] {
+      sim_.After(duration, [this, extra] {
         cluster_.AddExtraNetLatency(-extra);
         log_.push_back({sim_.Now(), FaultKind::kNetSpikeEnd,
                         microsvc::kInvalidService,
@@ -93,8 +92,7 @@ void FaultInjector::ScheduleRandomCrashes(SimTime start, SimTime end,
     if (t >= end) break;
     const auto svc = static_cast<microsvc::ServiceId>(rng_.NextInt(
         0, static_cast<std::int64_t>(cluster_.service_count()) - 1));
-    sim_.At(t, sim::EventClass::kTimer,
-            [this, svc, downtime] { FireCrash(svc, downtime); });
+    sim_.At(t, [this, svc, downtime] { FireCrash(svc, downtime); });
   }
 }
 

@@ -67,17 +67,15 @@ void Simulation::EnqueueEntry(SimTime time, std::uint32_t slot_id,
     ++stats_.immediate_scheduled;
     return;
   }
-  // Timing wheel: kTimer events (cancel-likely) whenever the wheel can hold
-  // them, and — regardless of class — anything at least one level-0 horizon
-  // out. A far-future event is pure ballast in the heap: it sits near the
-  // bottom for thousands of pops, yet every near-term push must sift past
-  // it. Filing it in a wheel bucket is O(1) now and it re-enters the heap
-  // only when its due time is close, keeping the heap's height proportional
-  // to the *near* event population. Order stays exact either way — wheel
-  // entries keep their (time, seq) key and CascadeWheel's bound merge never
-  // lets the heap or lane fire past an earlier bucket.
-  if (wheel_enabled_ && time - now_ >= TimerWheel::kMinDelay &&
-      ((m.aux & kAuxTimerClass) != 0 || time - now_ >= kFarDelay)) {
+  // Timing wheel: anything at least one level-0 horizon out. A far-future
+  // event is pure ballast in the heap: it sits near the bottom for thousands
+  // of pops, yet every near-term push must sift past it. Filing it in a
+  // wheel bucket is O(1) now (and so is cancelling it) and it re-enters the
+  // heap only when its due time is close, keeping the heap's height
+  // proportional to the *near* event population. Order stays exact either
+  // way — wheel entries keep their (time, seq) key and CascadeWheel's bound
+  // merge never lets the heap or lane fire past an earlier bucket.
+  if (wheel_enabled_ && time - now_ >= kFarDelay) {
     m.aux |= kAuxInWheel;
     wheel_.Insert(TimerWheel::Entry{time, next_seq_++, slot_id, gen}, now_);
     ++wheel_live_;
@@ -226,28 +224,6 @@ EventHandle Simulation::Every(SimDuration period, InplaceFunction fn) {
   return FinishSchedule(now_ + period, id, period, fn_slot(id).is_inline());
 }
 
-EventHandle Simulation::At(SimTime at, EventClass cls, InplaceFunction fn) {
-  if (at < now_) ThrowPastTime();
-  const std::uint32_t id = AllocSlot();
-  fn_slot(id) = std::move(fn);
-  if (cls == EventClass::kTimer) metas_[id].aux |= kAuxTimerClass;
-  return FinishSchedule(at, id, /*period=*/0, fn_slot(id).is_inline());
-}
-
-EventHandle Simulation::After(SimDuration delay, EventClass cls,
-                              InplaceFunction fn) {
-  return At(now_ + std::max<SimDuration>(0, delay), cls, std::move(fn));
-}
-
-EventHandle Simulation::Every(SimDuration period, EventClass cls,
-                              InplaceFunction fn) {
-  if (period <= 0) ThrowBadPeriod();
-  const std::uint32_t id = AllocSlot();
-  fn_slot(id) = std::move(fn);
-  if (cls == EventClass::kTimer) metas_[id].aux |= kAuxTimerClass;
-  return FinishSchedule(now_ + period, id, period, fn_slot(id).is_inline());
-}
-
 void Simulation::PurgeLaneFront() {
   // Lane cancellation frees the slot immediately (lane events are one-shot,
   // so no Every series can still own it), which bumps the generation; the
@@ -350,8 +326,8 @@ bool Simulation::FireNext() {
     if ((m.aux & kAuxCancelled) == 0) {
       // Re-arm after the callback so events it scheduled get earlier
       // sequence numbers (same ordering as a fire-then-reschedule chain).
-      // A kTimer-classed series re-files into the wheel when the period is
-      // long enough (the class bit persists on the slot across the series).
+      // Routed by delay like any event: a period of at least kFarDelay
+      // re-files the series into the wheel.
       EnqueueEntry(now_ + period, e.slot, m.gen);
     } else {
       FreeSlot(e.slot);

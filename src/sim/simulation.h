@@ -16,18 +16,6 @@ namespace grunt::sim {
 
 class Simulation;
 
-/// Scheduling-class hint for At/After/Every. Purely a placement hint: both
-/// classes fire in exactly the same (time, seq) order, the engine just gets
-/// to pick a cheaper backing store for timers that will almost never fire.
-enum class EventClass : std::uint8_t {
-  /// Near-term, likely-to-fire work (the default): straight to the heap.
-  kSequence = 0,
-  /// Far-out, cancel-likely timers (RPC timeouts, retry backoffs, deadline
-  /// guards, periodic operators): eligible for the timing-wheel fast path,
-  /// where cancellation is a generation bump that never touches the heap.
-  kTimer = 1,
-};
-
 /// Handle to a scheduled event; allows cancellation. Copyable; all copies
 /// refer to the same event. A handle is a (slot, generation) ticket into the
 /// simulation's event arena: once the event fires (or its slot is recycled)
@@ -80,7 +68,7 @@ class Simulation {
     std::uint64_t cancelled_purged = 0;  ///< removed by lazy compaction
     std::uint64_t compactions = 0;
     std::size_t slab_chunks = 0;
-    std::uint64_t wheel_scheduled = 0;  ///< kTimer events filed in the wheel
+    std::uint64_t wheel_scheduled = 0;  ///< far events filed in the wheel
     std::uint64_t wheel_cancelled = 0;  ///< cancelled in-bucket (no heap work)
     std::uint64_t wheel_cascades = 0;   ///< bucket flushes
     std::uint64_t wheel_to_heap = 0;    ///< entries that cascaded into the heap
@@ -107,13 +95,6 @@ class Simulation {
   /// tick) and the event re-arms in place without allocating. Cancelling the
   /// returned handle stops the series.
   EventHandle Every(SimDuration period, InplaceFunction fn);
-
-  /// Classed variants. EventClass::kTimer routes far-enough-out events to
-  /// the timing wheel (O(1) insert/cancel); firing order is identical to the
-  /// unclassed overloads, so the hint is always safe to add.
-  EventHandle At(SimTime at, EventClass cls, InplaceFunction fn);
-  EventHandle After(SimDuration delay, EventClass cls, InplaceFunction fn);
-  EventHandle Every(SimDuration period, EventClass cls, InplaceFunction fn);
 
   /// Zero-copy overloads: a raw callable is constructed directly into its
   /// event slot (one placement-new; no InplaceFunction temporary, no
@@ -145,36 +126,6 @@ class Simulation {
     return FinishSchedule(now_ + period, id, period, inl);
   }
 
-  /// Classed zero-copy overloads (see the InplaceFunction variants above).
-  template <class F, class = std::enable_if_t<
-                         !std::is_same_v<std::decay_t<F>, InplaceFunction>>>
-  EventHandle At(SimTime at, EventClass cls, F&& fn) {
-    if (at < now_) {
-      ThrowPastTime();
-    }
-    const std::uint32_t id = AllocSlot();
-    const bool inl = fn_slot(id).Emplace(std::forward<F>(fn));
-    if (cls == EventClass::kTimer) metas_[id].aux |= kAuxTimerClass;
-    return FinishSchedule(at, id, /*period=*/0, inl);
-  }
-
-  template <class F, class = std::enable_if_t<
-                         !std::is_same_v<std::decay_t<F>, InplaceFunction>>>
-  EventHandle After(SimDuration delay, EventClass cls, F&& fn) {
-    return At(now_ + std::max<SimDuration>(0, delay), cls,
-              std::forward<F>(fn));
-  }
-
-  template <class F, class = std::enable_if_t<
-                         !std::is_same_v<std::decay_t<F>, InplaceFunction>>>
-  EventHandle Every(SimDuration period, EventClass cls, F&& fn) {
-    if (period <= 0) ThrowBadPeriod();
-    const std::uint32_t id = AllocSlot();
-    const bool inl = fn_slot(id).Emplace(std::forward<F>(fn));
-    if (cls == EventClass::kTimer) metas_[id].aux |= kAuxTimerClass;
-    return FinishSchedule(now_ + period, id, period, inl);
-  }
-
   /// Runs until the event queue drains or `until` is reached, whichever is
   /// first. The clock is advanced to `until` on return if the queue drained
   /// earlier. Returns the number of events fired.
@@ -186,9 +137,9 @@ class Simulation {
   /// Requests that the current Run* call return after the in-flight event.
   void Stop() { stop_requested_ = true; }
 
-  /// Enables/disables the timing-wheel fast path for EventClass::kTimer
-  /// events (default on). Affects future schedules only; already-filed wheel
-  /// entries drain normally. Off, every event takes the heap path — the
+  /// Enables/disables the timing-wheel fast path for events at least
+  /// kFarDelay out (default on). Affects future schedules only; already-filed
+  /// wheel entries drain normally. Off, every event takes the heap path — the
   /// baseline the wheel benchmarks and differential tests compare against.
   void SetTimerWheelEnabled(bool enabled) { wheel_enabled_ = enabled; }
   bool timer_wheel_enabled() const { return wheel_enabled_; }
@@ -201,9 +152,9 @@ class Simulation {
   bool immediate_lane_enabled() const { return lane_enabled_; }
 
   /// Routing threshold between heap and wheel: any event at least one
-  /// level-0 wheel horizon out is filed in the wheel regardless of class —
-  /// it cannot fire soon, so keeping it out of the heap shrinks the sift
-  /// height every near-term event pays (see EnqueueEntry).
+  /// level-0 wheel horizon out is filed in the wheel — it cannot fire soon,
+  /// so keeping it out of the heap shrinks the sift height every near-term
+  /// event pays (see EnqueueEntry).
   static constexpr SimDuration kFarDelay = TimerWheel::Horizon(0);
 
   std::uint64_t events_fired() const { return events_fired_; }
@@ -233,9 +184,8 @@ class Simulation {
     SimDuration period = 0;  ///< > 0: repeating event (Every)
   };
   static constexpr std::uint32_t kAuxCancelled = 1;
-  static constexpr std::uint32_t kAuxTimerClass = 2;  ///< EventClass::kTimer
-  static constexpr std::uint32_t kAuxInWheel = 4;  ///< entry lives in wheel_
-  static constexpr std::uint32_t kAuxInLane = 8;   ///< entry lives in lane_
+  static constexpr std::uint32_t kAuxInWheel = 2;  ///< entry lives in wheel_
+  static constexpr std::uint32_t kAuxInLane = 4;   ///< entry lives in lane_
 
   /// Priority-queue entry: POD, cheap to sift. `gen` guards against slot
   /// recycling (an entry whose generation no longer matches is dead).
@@ -280,7 +230,7 @@ class Simulation {
   [[noreturn]] static void ThrowBadPeriod();
   void PushEntry(SimTime time, std::uint32_t slot_id, std::uint32_t gen);
   /// Routes a ready-to-queue event to the immediate lane (one-shot, time ==
-  /// Now(), lane enabled), the wheel (kTimer class, far enough out, wheel
+  /// Now(), lane enabled), the wheel (at least kFarDelay out, wheel
   /// enabled), or the heap. Consumes one sequence number whichever store
   /// takes it, so firing order is independent of the backing store.
   void EnqueueEntry(SimTime time, std::uint32_t slot_id, std::uint32_t gen);
@@ -328,7 +278,7 @@ class Simulation {
   std::size_t lane_live_ = 0;  ///< live (not cancelled) entries in lane_
   std::size_t cancelled_in_lane_ = 0;  ///< tombstones awaiting front purge
 
-  TimerWheel wheel_;  ///< far-out kTimer events until their level expires
+  TimerWheel wheel_;  ///< far-out events until their level expires
   std::size_t wheel_live_ = 0;  ///< live (not cancelled) entries in wheel_
   bool wheel_enabled_ = true;
 

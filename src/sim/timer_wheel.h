@@ -59,10 +59,6 @@ class TimerWheel {
   static constexpr SimDuration Horizon(int level) {
     return BucketWidth(level) << kBucketBits;
   }
-  /// Delays below one level-0 bucket (BucketWidth(0)) gain nothing from the
-  /// wheel — they would cascade almost immediately — so the owner keeps
-  /// those on the heap path.
-  static constexpr SimDuration kMinDelay = SimDuration{1} << kTickBits;
 
   bool empty() const { return entries_ == 0; }
   /// Raw entry count, including not-yet-flushed cancelled tombstones.

@@ -57,7 +57,7 @@ constexpr Field kFields[] = {
 void EngineStatsTicker::Start(SimDuration period) {
   if (running_) return;
   running_ = true;
-  timer_ = sim_.Every(period, sim::EventClass::kTimer, [this] {
+  timer_ = sim_.Every(period, [this] {
     if (!bus_.engine_stats().has_subscribers()) return;
     bus_.engine_stats().Publish(EngineStatsEvent{sim_.Now(), sim_.stats()});
   });

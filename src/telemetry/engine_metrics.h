@@ -16,9 +16,9 @@ namespace grunt::telemetry {
 /// Periodically publishes a point-in-time EngineStats snapshot on the bus's
 /// engine_stats channel, turning the engine's cumulative counters into an
 /// observable stream (bench rigs enable it via GRUNT_ENGINE_STATS_TICK_MS).
-/// The tick is a kTimer-class event so it routes through the timing wheel
-/// and stays out of the heap the workload under test is exercising; when the
-/// channel has no subscribers the tick costs one integer compare.
+/// A period of at least Simulation::kFarDelay (4.096 ms) files each tick in
+/// the timing wheel, out of the heap the workload under test is exercising;
+/// when the channel has no subscribers the tick costs one integer compare.
 class EngineStatsTicker {
  public:
   EngineStatsTicker(sim::Simulation& sim, TelemetryBus& bus)

@@ -163,10 +163,7 @@ void OpenLoopSource::Arm() {
 
 void RateTrace::Apply(sim::Simulation& sim, OpenLoopSource& source) const {
   for (const Point& p : points) {
-    // Phase changes sit minutes out; the wheel keeps them off the heap
-    // until their level expires.
-    sim.At(p.at, sim::EventClass::kTimer,
-           [&source, rate = p.rate] { source.SetRate(rate); });
+    sim.At(p.at, [&source, rate = p.rate] { source.SetRate(rate); });
   }
 }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "sim/simulation.h"
-#include "sim/timer_wheel.h"
 #include "util/time_types.h"
 
 namespace grunt::sim {
@@ -28,7 +27,6 @@ namespace {
 
 struct ChildOp {
   SimDuration delay;
-  bool timer_class;
   int action;
 };
 
@@ -41,7 +39,6 @@ struct Action {
 
 struct Root {
   SimTime at;
-  bool timer_class;
   int action;
 };
 
@@ -67,18 +64,12 @@ FireLog RunOnSimulation(const Script& script, bool use_lane, bool use_wheel) {
     for (int c : act.cancels) handles[static_cast<std::size_t>(c)].Cancel();
     if (n == 1) {  // children are single-schedule; only the first tick spawns
       for (const ChildOp& ch : act.children) {
-        const auto cls =
-            ch.timer_class ? EventClass::kTimer : EventClass::kSequence;
         const Action& child =
             script.actions[static_cast<std::size_t>(ch.action)];
         handles[static_cast<std::size_t>(ch.action)] =
             child.period > 0
-                ? sim.Every(child.period, cls, [&fire, a = ch.action] {
-                    fire(a);
-                  })
-                : sim.After(ch.delay, cls, [&fire, a = ch.action] {
-                    fire(a);
-                  });
+                ? sim.Every(child.period, [&fire, a = ch.action] { fire(a); })
+                : sim.After(ch.delay, [&fire, a = ch.action] { fire(a); });
       }
     }
     if (act.period > 0 && n >= act.max_fires) {
@@ -88,14 +79,12 @@ FireLog RunOnSimulation(const Script& script, bool use_lane, bool use_wheel) {
 
   for (const Root& r : script.roots) {
     const Action& act = script.actions[static_cast<std::size_t>(r.action)];
-    const auto cls =
-        r.timer_class ? EventClass::kTimer : EventClass::kSequence;
     if (act.period > 0) {
       handles[static_cast<std::size_t>(r.action)] =
-          sim.Every(act.period, cls, [&fire, a = r.action] { fire(a); });
+          sim.Every(act.period, [&fire, a = r.action] { fire(a); });
     } else {
       handles[static_cast<std::size_t>(r.action)] =
-          sim.At(r.at, cls, [&fire, a = r.action] { fire(a); });
+          sim.At(r.at, [&fire, a = r.action] { fire(a); });
     }
   }
   sim.RunAll();
@@ -171,8 +160,8 @@ FireLog RunOnReference(const Script& script) {
 }
 
 /// Half the delays are exactly zero (the lane); the rest cover the near heap
-/// band, the far wheel band, and the sub-kMinDelay edge so one timestamp can
-/// hold entries from all three backing stores at once.
+/// band, the far wheel band, and kFarDelay +/- 1 (the heap/wheel edge) so one
+/// timestamp can hold entries from all three backing stores at once.
 SimDuration LaneBiasedDelay(std::mt19937_64& rng) {
   switch (rng() % 8) {
     case 0:
@@ -181,7 +170,7 @@ SimDuration LaneBiasedDelay(std::mt19937_64& rng) {
     case 3:
       return 0;  // the lane
     case 4:
-      return static_cast<SimDuration>(rng() % TimerWheel::kMinDelay);
+      return Simulation::kFarDelay + static_cast<SimDuration>(rng() % 3) - 1;
     case 5:
       return static_cast<SimDuration>(rng() % Simulation::kFarDelay);
     case 6:
@@ -214,14 +203,13 @@ Script MakeScript(std::uint64_t seed) {
   // exactly one earlier action, so nothing is double-scheduled. Frequent
   // root ties put several zero-delay chains at the same timestamp.
   for (int i = 0; i < kRoots; ++i) {
-    s.roots.push_back(
-        Root{static_cast<SimTime>(rng() % Ms(5)), rng() % 2 == 0, i});
+    s.roots.push_back(Root{static_cast<SimTime>(rng() % Ms(5)), i});
     if (rng() % 3 == 0 && i > 0) s.roots.back().at = s.roots[i - 1].at;  // tie
   }
   for (int i = kRoots; i < kActions; ++i) {
     const int parent = static_cast<int>(rng() % static_cast<std::uint64_t>(i));
     s.actions[static_cast<std::size_t>(parent)].children.push_back(
-        ChildOp{LaneBiasedDelay(rng), rng() % 2 == 0, i});
+        ChildOp{LaneBiasedDelay(rng), i});
   }
   // Cancels: any action may cancel any other. With half the delays at zero,
   // many of these hit a lane entry from a callback running at the entry's
@@ -362,8 +350,8 @@ TEST(ImmediateLane, TiesWithHeapAndWheelFollowScheduleOrder) {
   Simulation sim;
   std::vector<int> order;
   const SimTime t = Ms(10);
-  sim.At(t, EventClass::kTimer, [&] { order.push_back(1); });  // wheel
-  sim.At(t, [&] {                                              // heap later
+  sim.At(t, [&] { order.push_back(1); });  // wheel (t >= kFarDelay)
+  sim.At(t, [&] {                          // wheel, cascades to the heap
     order.push_back(2);
     sim.After(0, [&] { order.push_back(4); });  // lane, newest seq: last
   });

@@ -22,13 +22,13 @@ namespace {
 // three ways — wheel-enabled Simulation, wheel-disabled Simulation, and a
 // naive std::priority_queue reference — must produce byte-identical firing
 // sequences. The script mixes At/After/Every, in-callback scheduling and
-// cancellation, same-time ties, sub-kMinDelay delays (heap path),
-// cascade-boundary times and beyond-horizon delays (top-level clamp).
+// cancellation, same-time ties, delays on both sides of the kFarDelay
+// heap/wheel boundary, cascade-boundary times and beyond-horizon delays
+// (top-level clamp).
 // ---------------------------------------------------------------------------
 
 struct ChildOp {
   SimDuration delay;
-  bool timer_class;
   int action;
 };
 
@@ -41,7 +41,6 @@ struct Action {
 
 struct Root {
   SimTime at;
-  bool timer_class;
   int action;
 };
 
@@ -68,18 +67,12 @@ FireLog RunOnSimulation(const Script& script, bool use_wheel) {
     for (int c : act.cancels) handles[static_cast<std::size_t>(c)].Cancel();
     if (n == 1) {  // children are single-schedule; only the first tick spawns
       for (const ChildOp& ch : act.children) {
-        const auto cls =
-            ch.timer_class ? EventClass::kTimer : EventClass::kSequence;
         const Action& child = script.actions[static_cast<std::size_t>(
             ch.action)];
         handles[static_cast<std::size_t>(ch.action)] =
             child.period > 0
-                ? sim.Every(child.period, cls, [&fire, a = ch.action] {
-                    fire(a);
-                  })
-                : sim.After(ch.delay, cls, [&fire, a = ch.action] {
-                    fire(a);
-                  });
+                ? sim.Every(child.period, [&fire, a = ch.action] { fire(a); })
+                : sim.After(ch.delay, [&fire, a = ch.action] { fire(a); });
       }
     }
     if (act.period > 0 && n >= act.max_fires) {
@@ -89,13 +82,12 @@ FireLog RunOnSimulation(const Script& script, bool use_wheel) {
 
   for (const Root& r : script.roots) {
     const Action& act = script.actions[static_cast<std::size_t>(r.action)];
-    const auto cls = r.timer_class ? EventClass::kTimer : EventClass::kSequence;
     if (act.period > 0) {
       handles[static_cast<std::size_t>(r.action)] =
-          sim.Every(act.period, cls, [&fire, a = r.action] { fire(a); });
+          sim.Every(act.period, [&fire, a = r.action] { fire(a); });
     } else {
       handles[static_cast<std::size_t>(r.action)] =
-          sim.At(r.at, cls, [&fire, a = r.action] { fire(a); });
+          sim.At(r.at, [&fire, a = r.action] { fire(a); });
     }
   }
   sim.RunAll();
@@ -173,12 +165,14 @@ FireLog RunOnReference(const Script& script) {
 }
 
 /// Times that stress the wheel's bucket math: level boundaries +/- 1, exact
-/// bucket widths, the sub-kMinDelay heap cutoff, and beyond-horizon values.
+/// bucket widths, the kFarDelay heap/wheel cutoff, and beyond-horizon values.
 SimDuration InterestingDelay(std::mt19937_64& rng) {
   switch (rng() % 8) {
     case 0:
-      return static_cast<SimDuration>(rng() % 64);  // below kMinDelay: heap
+      return static_cast<SimDuration>(rng() % 64);  // within one tick: heap
     case 1:
+      // BucketWidth(1) == kFarDelay: one below stays on the heap, the rest
+      // go to the wheel.
       return TimerWheel::BucketWidth(1) + static_cast<SimDuration>(rng() % 3) -
              1;
     case 2:
@@ -202,7 +196,7 @@ Script MakeScript(std::uint64_t seed) {
   s.actions.resize(kActions);
 
   // Periodic actions: ~1 in 8, with periods spanning wheel levels (some
-  // below kMinDelay to keep the Every heap path covered too).
+  // below kFarDelay to keep the Every heap path covered too).
   for (Action& a : s.actions) {
     if (rng() % 8 == 0) {
       static constexpr SimDuration kPeriods[] = {Us(40),   Us(64),  Us(700),
@@ -216,14 +210,13 @@ Script MakeScript(std::uint64_t seed) {
   // A forest: roots take the first ids, every other action is the child of
   // exactly one earlier action, so nothing is double-scheduled.
   for (int i = 0; i < kRoots; ++i) {
-    s.roots.push_back(Root{static_cast<SimTime>(rng() % Ms(40)),
-                           rng() % 2 == 0, i});
+    s.roots.push_back(Root{static_cast<SimTime>(rng() % Ms(40)), i});
     if (rng() % 4 == 0 && i > 0) s.roots.back().at = s.roots[i - 1].at;  // tie
   }
   for (int i = kRoots; i < kActions; ++i) {
     const int parent = static_cast<int>(rng() % static_cast<std::uint64_t>(i));
     s.actions[static_cast<std::size_t>(parent)].children.push_back(
-        ChildOp{InterestingDelay(rng), rng() % 2 == 0, i});
+        ChildOp{InterestingDelay(rng), i});
   }
   // Cancels: any action may cancel any other (stale/idle targets are
   // deliberate no-ops on both engines).
@@ -270,29 +263,55 @@ TEST(TimerWheelDifferential, MatchesHeapAndReferenceOnRandomSchedules) {
 // Wheel-specific units.
 // ---------------------------------------------------------------------------
 
-TEST(TimerWheel, RoutesByClassAndDelay) {
+TEST(TimerWheel, RoutesByDelayAlone) {
+  // kFarDelay is the only heap/wheel boundary, measured from Now(): one
+  // microsecond short stays on the heap, exactly kFarDelay goes to the wheel.
+  constexpr SimDuration kFar = Simulation::kFarDelay;
   Simulation sim;
   int fired = 0;
-  sim.After(Ms(1), [&] { ++fired; });   // unclassed, near: heap
-  sim.After(Ms(10), [&] { ++fired; });  // unclassed, >= far horizon: wheel
-  sim.After(TimerWheel::kMinDelay - 1, EventClass::kTimer,
-            [&] { ++fired; });  // too near even for kTimer: heap
-  sim.After(TimerWheel::kMinDelay, EventClass::kTimer, [&] { ++fired; });
-  sim.After(Ms(10), EventClass::kTimer, [&] { ++fired; });
-  EXPECT_EQ(sim.stats().wheel_scheduled, 3u);
-  EXPECT_EQ(sim.stats().wheel_occupancy, 3u);
-  EXPECT_EQ(sim.pending_events(), 5u);
+  sim.RunUntil(Ms(1));  // a nonzero Now() so At and After measure differently
+  sim.After(kFar - 1, [&] { ++fired; });
+  EXPECT_EQ(sim.stats().wheel_scheduled, 0u);
+  sim.After(kFar, [&] { ++fired; });
+  EXPECT_EQ(sim.stats().wheel_scheduled, 1u);
+  sim.At(sim.Now() + kFar - 1, [&] { ++fired; });
+  EXPECT_EQ(sim.stats().wheel_scheduled, 1u);
+  sim.At(sim.Now() + kFar, [&] { ++fired; });
+  EXPECT_EQ(sim.stats().wheel_scheduled, 2u);
+  EXPECT_EQ(sim.stats().wheel_occupancy, 2u);
+  EXPECT_EQ(sim.pending_events(), 4u);
   sim.RunAll();
-  EXPECT_EQ(fired, 5);
+  EXPECT_EQ(fired, 4);
   EXPECT_EQ(sim.stats().wheel_occupancy, 0u);
-  EXPECT_EQ(sim.stats().wheel_to_heap, 3u);
+  EXPECT_EQ(sim.stats().wheel_to_heap, 2u);
+}
+
+TEST(TimerWheel, EveryReArmRoutesByPeriod) {
+  // Each re-arm is routed like a fresh schedule at Now() + period: a series
+  // one microsecond short of kFarDelay never touches the wheel, one of
+  // exactly kFarDelay files its first tick and every re-arm there.
+  constexpr SimDuration kFar = Simulation::kFarDelay;
+  Simulation sim;
+  int near_ticks = 0;
+  int far_ticks = 0;
+  EventHandle near = sim.Every(kFar - 1, [&] { ++near_ticks; });
+  EXPECT_EQ(sim.stats().wheel_scheduled, 0u);
+  EventHandle far = sim.Every(kFar, [&] { ++far_ticks; });
+  EXPECT_EQ(sim.stats().wheel_scheduled, 1u);
+  sim.RunUntil(3 * kFar);
+  EXPECT_EQ(near_ticks, 3);
+  EXPECT_EQ(far_ticks, 3);
+  EXPECT_EQ(sim.stats().wheel_scheduled, 1u + 3u);  // first tick + 3 re-arms
+  near.Cancel();
+  far.Cancel();
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(TimerWheel, DisabledEngineNeverUsesWheel) {
   Simulation sim;
   sim.SetTimerWheelEnabled(false);
   int fired = 0;
-  sim.After(Ms(10), EventClass::kTimer, [&] { ++fired; });
+  sim.After(Ms(10), [&] { ++fired; });
   EXPECT_EQ(sim.stats().wheel_scheduled, 0u);
   sim.RunAll();
   EXPECT_EQ(fired, 1);
@@ -301,7 +320,7 @@ TEST(TimerWheel, DisabledEngineNeverUsesWheel) {
 TEST(TimerWheel, CancelInBucketNeverTouchesHeap) {
   Simulation sim;
   bool fired = false;
-  EventHandle h = sim.After(Ms(100), EventClass::kTimer, [&] { fired = true; });
+  EventHandle h = sim.After(Ms(100), [&] { fired = true; });
   EXPECT_TRUE(h.pending());
   EXPECT_EQ(sim.pending_events(), 1u);
   h.Cancel();
@@ -321,7 +340,7 @@ TEST(TimerWheel, CancelAfterCascadeTakesHeapPath) {
   // Ms(100) lands in level 1 (bucket start 98304 us). Running to 99970 us
   // first cascades that bucket into level 0 (bucket start 99968 us), then
   // flushes the level-0 bucket into the heap — without firing the timer.
-  EventHandle h = sim.After(Ms(100), EventClass::kTimer, [&] { fired = true; });
+  EventHandle h = sim.After(Ms(100), [&] { fired = true; });
   sim.RunUntil(Us(99970));
   EXPECT_GE(sim.stats().wheel_cascades, 2u);
   EXPECT_EQ(sim.stats().wheel_to_heap, 1u);
@@ -338,11 +357,11 @@ TEST(TimerWheel, CancelledBucketTombstoneCannotKillRecycledSlot) {
   Simulation sim;
   bool a_fired = false;
   bool b_fired = false;
-  EventHandle a = sim.After(Ms(50), EventClass::kTimer, [&] { a_fired = true; });
+  EventHandle a = sim.After(Ms(50), [&] { a_fired = true; });
   a.Cancel();  // frees the slot while the bucket entry still exists
   // Reuses the freed slot with a fresh generation; the stale bucket entry
   // must be dropped at cascade without affecting this event.
-  EventHandle b = sim.After(Ms(60), EventClass::kTimer, [&] { b_fired = true; });
+  EventHandle b = sim.After(Ms(60), [&] { b_fired = true; });
   sim.RunAll();
   EXPECT_FALSE(a_fired);
   EXPECT_TRUE(b_fired);
@@ -354,8 +373,7 @@ TEST(TimerWheel, EveryReArmsAcrossWheelLevels) {
   Simulation sim;
   std::vector<SimTime> at;
   // Sec(3) sits in level 2; each re-arm re-files through the wheel.
-  EventHandle h = sim.Every(Sec(3), EventClass::kTimer,
-                            [&] { at.push_back(sim.Now()); });
+  EventHandle h = sim.Every(Sec(3), [&] { at.push_back(sim.Now()); });
   sim.RunUntil(Sec(10));
   EXPECT_EQ(at, (std::vector<SimTime>{Sec(3), Sec(6), Sec(9)}));
   EXPECT_TRUE(h.pending());
@@ -370,9 +388,9 @@ TEST(TimerWheel, BeyondHorizonTimersFireAtExactTimes) {
   Simulation sim;
   std::vector<int> order;
   const SimTime far = TimerWheel::Horizon(TimerWheel::kLevels - 1) * 3 + 17;
-  sim.At(far + Us(1), EventClass::kTimer, [&] { order.push_back(2); });
-  sim.At(far, EventClass::kTimer, [&] { order.push_back(1); });
-  sim.At(far + Us(1), EventClass::kTimer, [&] { order.push_back(3); });  // tie
+  sim.At(far + Us(1), [&] { order.push_back(2); });
+  sim.At(far, [&] { order.push_back(1); });
+  sim.At(far + Us(1), [&] { order.push_back(3); });  // tie
   sim.RunAll();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.Now(), far + Us(1));
