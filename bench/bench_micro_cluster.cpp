@@ -85,8 +85,9 @@ Measurement MeasureSingleChainCold() {
   return out;
 }
 
-/// One long-lived Cluster, batches submitted back to back: pools stay warm,
-/// the bounded completion log keeps memory flat — the campaign-scale regime.
+/// One long-lived Cluster, batches submitted back to back: pools stay warm
+/// and nothing per request outlives its completion — the campaign-scale
+/// regime.
 /// `use_lane` toggles the immediate-lane fast path for the Cluster's
 /// zero-delay dispatch events; the lane-off run is the heap-only baseline
 /// for the lane's speedup.
@@ -95,7 +96,6 @@ Measurement MeasureSingleChainSteady(bool use_lane) {
   sim::Simulation sim;
   sim.SetImmediateLaneEnabled(use_lane);
   microsvc::Cluster cluster(sim, app, 1);
-  cluster.SetCompletionLogBound(1024);
   Measurement out;
   SimTime t = 0;
   const auto t0 = Clock::now();
@@ -126,7 +126,6 @@ Measurement MeasureSocialNetwork(bool use_lane) {
   sim::Simulation sim;
   sim.SetImmediateLaneEnabled(use_lane);
   microsvc::Cluster cluster(sim, app, 1);
-  cluster.SetCompletionLogBound(1024);
   const auto types = app.request_type_count();
   Measurement out;
   SimTime t = 0;
@@ -162,7 +161,6 @@ Measurement MeasureTimerHeavy(bool use_wheel) {
   sim::Simulation sim;
   sim.SetTimerWheelEnabled(use_wheel);
   microsvc::Cluster cluster(sim, app, 1);
-  cluster.SetCompletionLogBound(1024);
   Measurement out;
   const auto t0 = Clock::now();
   double elapsed = 0;
@@ -201,7 +199,6 @@ TelemetryMeasurement MeasureSingleChainSteadyTelemetry() {
   const auto app = bench_fixtures::SingleChainApp();
   sim::Simulation sim;
   microsvc::Cluster cluster(sim, app, 1);
-  cluster.SetCompletionLogBound(1024);
 
   auto& bus = cluster.telemetry();
   auto& reg = bus.metrics();

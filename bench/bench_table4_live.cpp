@@ -32,9 +32,6 @@ LiveResult RunLive(const microsvc::Application& app, double total_rate,
                    std::uint64_t seed) {
   sim::Simulation sim;
   microsvc::Cluster cluster(sim, app, seed);
-  // Hour-plus of open-loop traffic; the monitors only window recent records,
-  // so a bounded completion log keeps memory flat across the run.
-  cluster.SetCompletionLogBound(200000);
   workload::OpenLoopSource::Config wl;
   wl.rate = total_rate;
   wl.mix = workload::RequestMix::Uniform(app.PublicDynamicTypes());

@@ -54,7 +54,6 @@ class AutoScaler {
   /// Opt-in bounded action log for long cloudwatch runs (Fig 14/15): retains
   /// at least the most recent `n` actions and compacts (amortized O(1)) when
   /// the log reaches 2n, so memory stays flat. 0 (default) = unbounded.
-  /// Same idiom as Cluster::SetCompletionLogBound.
   void SetActionLogBound(std::size_t n) {
     action_bound_ = n;
     if (n > 0) actions_.reserve(2 * n);

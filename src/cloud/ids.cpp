@@ -39,10 +39,9 @@ void Ids::Stop() {
   timer_.Cancel();
 }
 
-void Ids::Raise(AlertRule rule, std::uint64_t client_id, std::string detail,
+void Ids::Raise(AlertRule rule, std::uint64_t client_id,
                 bool attack_attributed) {
-  alerts_.push_back(
-      {cluster_.simulation().Now(), rule, client_id, std::move(detail)});
+  alerts_.push_back({cluster_.simulation().Now(), rule, client_id});
   if (attack_attributed) ++attributed_attack_alerts_;
 }
 
@@ -56,9 +55,7 @@ void Ids::OnSubmit(microsvc::RequestTypeId /*type*/,
   // Behavioral rule: consecutive requests too close together.
   if (s.total_requests >= cfg_.min_session_requests - 1 &&
       s.total_requests > 0 && at - s.last_request < cfg_.min_inter_request) {
-    Raise(AlertRule::kInterRequestInterval, client_id,
-          "interval " + std::to_string(ToMillis(at - s.last_request)) + "ms",
-          s.is_attack);
+    Raise(AlertRule::kInterRequestInterval, client_id, s.is_attack);
   }
   s.last_request = at;
   ++s.total_requests;
@@ -69,8 +66,7 @@ void Ids::OnSubmit(microsvc::RequestTypeId /*type*/,
     s.window.pop_front();
   }
   if (static_cast<std::int64_t>(s.window.size()) > cfg_.rate_limit) {
-    Raise(AlertRule::kRateLimit, client_id,
-          std::to_string(s.window.size()) + " req in window", s.is_attack);
+    Raise(AlertRule::kRateLimit, client_id, s.is_attack);
     s.window.clear();  // one alert per overflow, then reset the budget
   }
 }
@@ -86,7 +82,6 @@ void Ids::Evaluate() {
           ++saturated_ticks_[i];
           if (saturated_ticks_[i] >= cfg_.saturation_samples) {
             Raise(AlertRule::kResourceSaturation, 0,
-                  "service " + cluster_.app().service(sid).name,
                   /*attack_attributed=*/false);
             saturated_ticks_[i] = 0;
           }
@@ -100,10 +95,7 @@ void Ids::Evaluate() {
     const auto& series = rt_monitor_->legit_mean_ms();
     for (; next_rt_sample_ < series.size(); ++next_rt_sample_) {
       if (series.at(next_rt_sample_).value >= cfg_.degradation_rt_ms) {
-        Raise(AlertRule::kServiceDegradation, 0,
-              "mean RT " +
-                  std::to_string(series.at(next_rt_sample_).value) + "ms",
-              /*attack_attributed=*/false);
+        Raise(AlertRule::kServiceDegradation, 0, /*attack_attributed=*/false);
       }
     }
   }

@@ -1,13 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "cloud/monitor.h"
 #include "microsvc/cluster.h"
+#include "sim/ring_buffer.h"
 
 namespace grunt::cloud {
 
@@ -29,7 +28,6 @@ struct Alert {
   SimTime at = 0;
   AlertRule rule{};
   std::uint64_t client_id = 0;  ///< 0 when the rule has no client attribution
-  std::string detail;
 };
 
 /// Gateway intrusion detection/prevention, fed by every submitted request.
@@ -82,8 +80,7 @@ class Ids {
   void OnSubmit(microsvc::RequestTypeId type, microsvc::RequestClass cls,
                 std::uint64_t client_id, SimTime at);
   void Evaluate();
-  void Raise(AlertRule rule, std::uint64_t client_id, std::string detail,
-             bool attack_attributed);
+  void Raise(AlertRule rule, std::uint64_t client_id, bool attack_attributed);
 
   microsvc::Cluster& cluster_;
   const ResourceMonitor* monitor_;
@@ -96,7 +93,7 @@ class Ids {
     SimTime last_request = 0;
     std::int64_t total_requests = 0;
     bool is_attack = false;  ///< ground-truth tag, only for scoring
-    std::deque<SimTime> window;  ///< request times within rate window
+    sim::RingBuffer<SimTime> window;  ///< request times within rate window
   };
   std::unordered_map<std::uint64_t, SessionState> sessions_;
   std::vector<std::size_t> next_util_sample_;

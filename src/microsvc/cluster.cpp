@@ -517,14 +517,6 @@ void Cluster::CompleteWith(sim::PoolHandle req_h, Outcome o) {
   rec.end = sim_.Now();
   rec.outcome = o;
   rec.retries = req.retries;
-  completions_.push_back(rec);
-  if (completion_bound_ > 0 && completions_.size() >= 2 * completion_bound_) {
-    // Bounded mode: compact down to the newest `completion_bound_` records.
-    completions_dropped_ += completions_.size() - completion_bound_;
-    completions_.erase(completions_.begin(),
-                       completions_.end() -
-                           static_cast<std::ptrdiff_t>(completion_bound_));
-  }
   // Bus subscribers first (in registration order), the per-request callback
   // last — the ordering contract the old listener list established.
   bus_.completion().Publish(rec);

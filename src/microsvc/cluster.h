@@ -33,7 +33,8 @@ using SpanEvent = telemetry::SpanEvent;
 ///  3. when the reply from s_{i+1} comes back, s_i runs the hop's post-reply
 ///     CPU burst, releases its slot and replies to s_{i-1};
 ///  4. hop 0's reply returns to the client and the CompletionRecord is
-///     logged.
+///     published on the completion() channel. The cluster keeps no record
+///     of a request past its terminal outcome: observers subscribe.
 /// Both of the paper's blocking effects (execution blocking, cross-tier
 /// queue overflow) are emergent consequences of steps 2–3.
 ///
@@ -85,29 +86,6 @@ class Cluster {
   /// Cumulative request+response bytes seen at the gateway. Failed requests
   /// count only their request bytes (the error reply is negligible).
   std::int64_t gateway_bytes() const { return gateway_bytes_; }
-
-  /// Every completed request, in completion order. In bounded mode (see
-  /// SetCompletionLogBound) only a suffix of the stream is retained — still
-  /// contiguous and in completion order.
-  const std::vector<CompletionRecord>& completions() const {
-    return completions_;
-  }
-  /// Frees the completion log (long-running benches call this periodically
-  /// after draining what they need).
-  void ClearCompletions() { completions_.clear(); }
-
-  /// Opt-in bounded completion log for long-running simulations: retains at
-  /// least the most recent `n` records and compacts (amortized O(1)) when
-  /// the log reaches 2n, so memory stays O(n) even when the caller never
-  /// calls ClearCompletions(). 0 (the default) = unbounded. Listeners and
-  /// per-request callbacks always see every record either way.
-  void SetCompletionLogBound(std::size_t n) {
-    completion_bound_ = n;
-    if (n > 0) completions_.reserve(2 * n);
-  }
-  std::size_t completion_log_bound() const { return completion_bound_; }
-  /// Completion records dropped by the bound so far.
-  std::uint64_t completions_dropped() const { return completions_dropped_; }
 
   std::uint64_t submitted_count() const { return next_request_id_; }
   /// Requests that reached a terminal outcome (any Outcome value).
@@ -264,9 +242,6 @@ class Cluster {
   sim::SlabPool<ActiveRequest> requests_;
   sim::SlabPool<CallState> calls_;
   sim::SlabPool<HopCtx> hops_;
-  std::vector<CompletionRecord> completions_;
-  std::size_t completion_bound_ = 0;
-  std::uint64_t completions_dropped_ = 0;
   std::int64_t gateway_bytes_ = 0;
   std::uint64_t next_request_id_ = 0;
   std::uint64_t completed_count_ = 0;

@@ -10,15 +10,17 @@ namespace grunt::sim {
 
 /// Growable power-of-two FIFO ring buffer.
 ///
-/// Replaces std::deque in the Service hot paths (slot waiters, CPU queue):
-/// a deque allocates/frees a map node per ~512 bytes of churn, while this
-/// ring reaches steady state after warm-up and then pushes/pops without
-/// touching the allocator. Elements must be default-constructible and
-/// movable; popped slots are overwritten with a default-constructed value so
-/// resources held by queued callbacks (e.g. InplaceFunction closures) are
-/// dropped as soon as they leave the queue (skipped for trivially
-/// destructible element types, which hold no resources — their pop is a
-/// plain copy + index bump).
+/// Replaces std::deque in the Service hot paths (slot waiters, CPU queue)
+/// and the IDS per-session rate window: a deque allocates/frees a map node
+/// per ~512 bytes of churn (and a 512 B chunk plus its map up front, even
+/// for a one-element queue), while this ring reaches steady state after
+/// warm-up and then pushes/pops without touching the allocator. Elements
+/// must be default-constructible and movable; popped slots are overwritten
+/// with a default-constructed value so resources held by queued callbacks
+/// (e.g. InplaceFunction closures) are dropped as soon as they leave the
+/// queue (skipped for trivially destructible element types, which hold no
+/// resources — their pop is a plain copy + index bump, and clear() just
+/// resets the indices).
 template <class T>
 class RingBuffer {
  public:
@@ -37,6 +39,10 @@ class RingBuffer {
   }
 
   T& front() {
+    assert(count_ > 0);
+    return buf_[head_];
+  }
+  const T& front() const {
     assert(count_ > 0);
     return buf_[head_];
   }
@@ -64,7 +70,12 @@ class RingBuffer {
   }
 
   void clear() {
-    while (count_ > 0) pop_front();
+    if constexpr (std::is_trivially_destructible_v<T>) {
+      head_ = 0;
+      count_ = 0;
+    } else {
+      while (count_ > 0) pop_front();
+    }
   }
 
  private:

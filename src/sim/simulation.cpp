@@ -86,17 +86,7 @@ void Simulation::EnqueueEntry(SimTime time, std::uint32_t slot_id,
 }
 
 void Simulation::CascadeWheel(SimTime limit) {
-  // Cascade while a wheel bucket could hold an entry at or before the limit,
-  // the heap's current top, and the lane's front. Bounds are lower bounds on
-  // entry times, so "bound <= store minimum" also covers same-time/smaller-
-  // seq ties — after the loop, min(heap top, lane front) by (time, seq) is
-  // the true global minimum up to `limit`.
-  for (;;) {
-    if (wheel_.empty()) return;
-    const SimTime bound = wheel_.EarliestBound();
-    if (bound > limit) return;
-    if (!heap_.empty() && bound > heap_.front().time) return;
-    if (lane_live_ != 0 && bound > lane_.front().time) return;
+  do {
     ++stats_.wheel_cascades;
     wheel_.CascadeEarliest(
         [this](const TimerWheel::Entry& e) {
@@ -110,7 +100,7 @@ void Simulation::CascadeWheel(SimTime limit) {
           --wheel_live_;
           ++stats_.wheel_to_heap;
         });
-  }
+  } while (WheelDue(limit));
 }
 
 void Simulation::SiftUp(std::size_t i) {
@@ -296,9 +286,8 @@ void Simulation::FireLaneFront() {
 bool Simulation::FireNext() {
   if (cancelled_in_heap_ != 0) PurgeTop();
   if (cancelled_in_lane_ != 0) PurgeLaneFront();
-  if (!wheel_.empty()) {
-    CascadeWheel(std::numeric_limits<SimTime>::max());
-  }
+  constexpr SimTime kNoLimit = std::numeric_limits<SimTime>::max();
+  if (WheelDue(kNoLimit)) CascadeWheel(kNoLimit);
   // One (time, seq) compare merges the lane and the heap; the wheel is
   // already folded in by the cascade bound above. Ties go to whichever
   // entry drew the smaller sequence number, exactly as in a single heap.
@@ -356,7 +345,7 @@ std::uint64_t Simulation::RunUntil(SimTime until) {
     if (stop_requested_) break;
     if (cancelled_in_heap_ != 0) PurgeTop();
     if (cancelled_in_lane_ != 0) PurgeLaneFront();
-    if (!wheel_.empty()) CascadeWheel(until);
+    if (WheelDue(until)) CascadeWheel(until);
     const bool lane_ready = lane_live_ != 0 && lane_.front().time <= until;
     if (!lane_ready && (heap_.empty() || heap_.front().time > until)) break;
     if (FireNext()) ++fired;

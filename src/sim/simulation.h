@@ -234,9 +234,21 @@ class Simulation {
   /// enabled), or the heap. Consumes one sequence number whichever store
   /// takes it, so firing order is independent of the backing store.
   void EnqueueEntry(SimTime time, std::uint32_t slot_id, std::uint32_t gen);
-  /// Flushes wheel buckets into the heap while the wheel's earliest bound is
-  /// <= min(limit, heap top). After it returns the heap top is the true
-  /// global minimum among events at or before `limit`.
+  /// True when a wheel bucket could hold an entry at or before min(limit,
+  /// heap top, lane front). Bounds are lower bounds on entry times, so
+  /// "bound <= store minimum" also covers same-time/smaller-seq ties. Inline
+  /// so the common nothing-due case costs a few compares and no call; the
+  /// cached bound is max() on an empty wheel.
+  bool WheelDue(SimTime limit) const {
+    if (wheel_.empty()) return false;
+    const SimTime bound = wheel_.EarliestBound();
+    if (bound > limit) return false;
+    if (!heap_.empty() && bound > heap_.front().time) return false;
+    return lane_live_ == 0 || bound <= lane_.front().time;
+  }
+  /// Flushes wheel buckets into the heap while WheelDue(limit). Call only
+  /// when WheelDue(limit) holds. After it returns, min(heap top, lane front)
+  /// by (time, seq) is the true global minimum among events up to `limit`.
   void CascadeWheel(SimTime limit);
   // 4-ary min-heap over heap_ (shallower and more cache-friendly than a
   // binary heap; the sift loops are the engine's hottest code).

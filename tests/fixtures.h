@@ -4,6 +4,9 @@
 // deterministic service times unless a test opts into exponential draws, so
 // expected latencies can be asserted exactly.
 
+#include <cstddef>
+#include <vector>
+
 #include "microsvc/application.h"
 #include "microsvc/cluster.h"
 #include "sim/simulation.h"
@@ -120,5 +123,33 @@ inline Application SingleChainApp(
                         2.0));
   return std::move(b).Build();
 }
+
+/// Every CompletionRecord the cluster publishes, in completion order. The
+/// cluster keeps no per-request record itself; tests that inspect the
+/// completion stream subscribe through this recorder. Declare it after the
+/// cluster it watches (it unsubscribes on destruction) and before the first
+/// Submit.
+class CompletionLog {
+ public:
+  explicit CompletionLog(microsvc::Cluster& cluster) : cluster_(cluster) {
+    sub_ = cluster_.telemetry().completion().Subscribe(
+        [this](const microsvc::CompletionRecord& r) { records_.push_back(r); });
+  }
+  ~CompletionLog() { cluster_.telemetry().completion().Unsubscribe(sub_); }
+  CompletionLog(const CompletionLog&) = delete;
+  CompletionLog& operator=(const CompletionLog&) = delete;
+
+  std::size_t size() const { return records_.size(); }
+  const microsvc::CompletionRecord& operator[](std::size_t i) const {
+    return records_[i];
+  }
+  auto begin() const { return records_.begin(); }
+  auto end() const { return records_.end(); }
+
+ private:
+  microsvc::Cluster& cluster_;
+  telemetry::SubscriptionId sub_ = 0;
+  std::vector<microsvc::CompletionRecord> records_;
+};
 
 }  // namespace grunt::testing

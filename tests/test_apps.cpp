@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures.h"
 #include "microsvc/cluster.h"
 #include "sim/simulation.h"
 #include "util/stats.h"
@@ -75,6 +76,7 @@ TEST(SocialNetwork, BaselineIsHealthyAtReferenceLoad) {
   sim::Simulation sim;
   const auto app = MakeSocialNetwork({});
   microsvc::Cluster cluster(sim, app, 3);
+  const grunt::testing::CompletionLog completions(cluster);
   workload::ClosedLoopWorkload::Config wl;
   wl.users = 7000;
   wl.navigator = SocialNetworkNavigator(app);
@@ -82,7 +84,7 @@ TEST(SocialNetwork, BaselineIsHealthyAtReferenceLoad) {
   load.Start();
   sim.RunUntil(Sec(30));
   Samples rt;
-  for (const auto& rec : cluster.completions()) {
+  for (const auto& rec : completions) {
     if (rec.start >= Sec(10)) rt.Add(ToMillis(rec.end - rec.start));
   }
   ASSERT_GT(rt.count(), 10'000u);

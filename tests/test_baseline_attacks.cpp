@@ -14,8 +14,9 @@ namespace {
 
 struct Rig {
   explicit Rig(microsvc::Application application, double total_rate)
-      : app(std::move(application)), cluster(sim, app, 21), client(cluster),
-        rt(cluster, {Sec(1), "rt"}), bots({}) {
+      : app(std::move(application)), cluster(sim, app, 21),
+        completions(cluster), client(cluster), rt(cluster, {Sec(1), "rt"}),
+        bots({}) {
     workload::OpenLoopSource::Config wl;
     wl.rate = total_rate;
     wl.mix = workload::RequestMix::Uniform(app.PublicDynamicTypes());
@@ -28,6 +29,7 @@ struct Rig {
   sim::Simulation sim;
   microsvc::Application app;
   microsvc::Cluster cluster;
+  grunt::testing::CompletionLog completions;
   attack::SimTargetClient client;
   cloud::ResponseTimeMonitor rt;
   attack::BotFarm bots;
@@ -56,9 +58,9 @@ TEST(TailAttack, DamagesTheAttackedPathOnly) {
   EXPECT_GT(tail.bursts().size(), 10u);
   EXPECT_GT(tail.attack_requests(), 500u);
 
-  // Per-type damage from the completion log.
+  // Per-type damage from the completion stream.
   Samples rt_x, rt_y;
-  for (const auto& rec : rig.cluster.completions()) {
+  for (const auto& rec : rig.completions) {
     if (rec.cls != microsvc::RequestClass::kLegit) continue;
     if (rec.start < Sec(12)) continue;
     (rec.type == 0 ? rt_x : rt_y).Add(ToMillis(rec.end - rec.start));

@@ -97,7 +97,8 @@ TEST(Cluster, BusObservesSubmitAndCompletion) {
   sim::Simulation sim;
   const Application app = SingleChainApp();
   Cluster cluster(sim, app, 1);
-  int submits = 0, completions = 0;
+  const grunt::testing::CompletionLog completions(cluster);
+  int submits = 0;
   cluster.telemetry().submit().Subscribe(
       [&](const telemetry::RequestSubmit& e) {
         ++submits;
@@ -105,13 +106,14 @@ TEST(Cluster, BusObservesSubmitAndCompletion) {
         EXPECT_EQ(e.cls, RequestClass::kProbe);
         EXPECT_EQ(e.client_id, 5u);
       });
-  cluster.telemetry().completion().Subscribe(
-      [&](const CompletionRecord&) { ++completions; });
   cluster.Submit(0, RequestClass::kProbe, false, 5);
   sim.RunAll();
   EXPECT_EQ(submits, 1);
-  EXPECT_EQ(completions, 1);
-  EXPECT_EQ(cluster.completions().size(), 1u);
+  ASSERT_EQ(completions.size(), 1u);
+  EXPECT_EQ(completions[0].type, 0);
+  EXPECT_EQ(completions[0].cls, RequestClass::kProbe);
+  EXPECT_EQ(completions[0].client_id, 5u);
+  EXPECT_EQ(cluster.completed_count(), 1u);
 }
 
 TEST(Cluster, ExponentialDistStillCompletesAndIsDeterministicPerSeed) {
@@ -135,18 +137,6 @@ TEST(Cluster, ExponentialDistStillCompletesAndIsDeterministicPerSeed) {
   EXPECT_EQ(r1, r2);
   EXPECT_NE(r1, r3);
   EXPECT_EQ(r1.size(), 50u);
-}
-
-TEST(Cluster, ClearCompletionsFreesLog) {
-  sim::Simulation sim;
-  const Application app = SingleChainApp();
-  Cluster cluster(sim, app, 1);
-  cluster.Submit(0, RequestClass::kLegit, false, 1);
-  sim.RunAll();
-  EXPECT_EQ(cluster.completions().size(), 1u);
-  cluster.ClearCompletions();
-  EXPECT_TRUE(cluster.completions().empty());
-  EXPECT_EQ(cluster.completed_count(), 1u);  // counters unaffected
 }
 
 }  // namespace

@@ -18,6 +18,7 @@ TEST(ClusterScaling, ScaleOutCutsQueueingLatency) {
   sim::Simulation sim;
   const auto app = SingleChainApp(ServiceTimeDist::kExponential);
   Cluster cluster(sim, app, 21);
+  const grunt::testing::CompletionLog completions(cluster);
   // Overload s1 (capacity ~333/s at 6ms on 2 cores) with 420/s.
   workload::OpenLoopSource::Config wl;
   wl.rate = 420;
@@ -29,7 +30,7 @@ TEST(ClusterScaling, ScaleOutCutsQueueingLatency) {
   sim.RunUntil(Sec(45));
 
   Samples before, after;
-  for (const auto& rec : cluster.completions()) {
+  for (const auto& rec : completions) {
     if (rec.end >= Sec(12) && rec.end < Sec(20)) {
       before.Add(ToMillis(rec.end - rec.start));
     } else if (rec.end >= Sec(30) && rec.end < Sec(45)) {
@@ -46,6 +47,7 @@ TEST(ClusterScaling, ScaleInRaisesLatencyButLosesNothing) {
   sim::Simulation sim;
   const auto app = SingleChainApp(ServiceTimeDist::kExponential);
   Cluster cluster(sim, app, 22);
+  const grunt::testing::CompletionLog completions(cluster);
   const auto s1 = *app.FindService("s1");
   cluster.service(s1).AddReplica();  // start at 2 replicas
   workload::OpenLoopSource::Config wl;
@@ -61,10 +63,10 @@ TEST(ClusterScaling, ScaleInRaisesLatencyButLosesNothing) {
   // Conservation: everything submitted completed exactly once.
   EXPECT_EQ(cluster.in_flight(), 0u);
   EXPECT_EQ(cluster.completed_count(), src.requests_issued());
-  EXPECT_EQ(cluster.completions().size(), src.requests_issued());
+  EXPECT_EQ(completions.size(), src.requests_issued());
 
   Samples before, after;
-  for (const auto& rec : cluster.completions()) {
+  for (const auto& rec : completions) {
     if (rec.end >= Sec(10) && rec.end < Sec(20)) {
       before.Add(ToMillis(rec.end - rec.start));
     } else if (rec.end >= Sec(25) && rec.end < Sec(40)) {

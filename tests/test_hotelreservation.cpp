@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures.h"
 #include "microsvc/cluster.h"
 #include "sim/simulation.h"
 #include "trace/dependency.h"
@@ -68,6 +69,7 @@ TEST(HotelReservation, BaselineHealthyAtReferenceLoad) {
   sim::Simulation sim;
   const auto app = MakeHotelReservation({});
   microsvc::Cluster cluster(sim, app, 8);
+  const grunt::testing::CompletionLog completions(cluster);
   workload::ClosedLoopWorkload::Config wl;
   wl.users = 5000;
   wl.navigator = HotelReservationNavigator(app);
@@ -75,7 +77,7 @@ TEST(HotelReservation, BaselineHealthyAtReferenceLoad) {
   load.Start();
   sim.RunUntil(Sec(30));
   Samples rt;
-  for (const auto& rec : cluster.completions()) {
+  for (const auto& rec : completions) {
     if (rec.start >= Sec(10) && rec.cls == microsvc::RequestClass::kLegit) {
       rt.Add(ToMillis(rec.end - rec.start));
     }

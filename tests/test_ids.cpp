@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
+#include "apps/socialnetwork.h"
+#include "attack/grunt_attack.h"
+#include "attack/sim_target_client.h"
 #include "fixtures.h"
+#include "truth_profile.h"
+#include "workload/workload.h"
 
 namespace grunt::cloud {
 namespace {
@@ -157,6 +164,59 @@ TEST(Ids, StoppedIdsIgnoresTraffic) {
   });
   rig.sim.RunUntil(Sec(3));
   EXPECT_TRUE(ids.alerts().empty());
+}
+
+// An alert is three words; it carries no per-alert string.
+static_assert(std::is_trivially_copyable_v<Alert>);
+
+TEST(Ids, AlertCensusOnSeededGruntCampaign) {
+  // One seeded SocialNetwork run with a short Grunt burst phase. Thresholds
+  // are tightened so every rule fires at this small scale; the counts are
+  // pinned so a change to what an alert records cannot silently change
+  // which alerts fire.
+  sim::Simulation sim;
+  const auto app = apps::MakeSocialNetwork({});
+  microsvc::Cluster cluster(sim, app, 5);
+  ResourceMonitor monitor(cluster, {Sec(1), "m"});
+  ResponseTimeMonitor rt(cluster, {Sec(1), "rt"});
+  Ids::Config cfg;
+  cfg.rate_limit = 10;
+  cfg.rate_window = Sec(60);
+  cfg.saturation_threshold = 0.8;
+  cfg.saturation_samples = 1;
+  cfg.degradation_rt_ms = 100.0;
+  Ids ids(cluster, &monitor, &rt, cfg);
+  monitor.Start();
+  rt.Start();
+  ids.Start();
+  constexpr std::int32_t kUsers = 2000;
+  workload::ClosedLoopWorkload::Config wl;
+  wl.users = kUsers;
+  wl.navigator = apps::SocialNetworkNavigator(app);
+  workload::ClosedLoopWorkload load(cluster, wl, 5);
+  load.Start();
+  sim.RunUntil(Sec(20));
+
+  attack::SimTargetClient client(cluster);
+  attack::GruntConfig gc;
+  gc.max_groups = 1;
+  attack::GruntAttack grunt(client, gc);
+  bool done = false;
+  // Closed loop with a 7 s mean think time: users / 7 legit req/s.
+  grunt.RunWithProfile(grunt::testing::TruthProfile(
+                           app, apps::SocialNetworkMix(app), kUsers / 7.0),
+                       Sec(20),
+                       [&](const attack::GruntReport&) { done = true; });
+  while (!done && sim.Now() < Sec(600)) sim.RunUntil(sim.Now() + Sec(5));
+  ASSERT_TRUE(done);
+  ASSERT_GT(grunt.report().attack_requests, 0u);
+
+  EXPECT_EQ(ids.CountAlerts(AlertRule::kInterRequestInterval), 8361u);
+  EXPECT_EQ(ids.CountAlerts(AlertRule::kRateLimit), 1089u);
+  EXPECT_EQ(ids.CountAlerts(AlertRule::kResourceSaturation), 1u);
+  EXPECT_EQ(ids.CountAlerts(AlertRule::kServiceDegradation), 32u);
+  EXPECT_EQ(ids.attributed_attack_alerts(), 150u);
+  EXPECT_EQ(ids.alerts().size(), 9483u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // The pooled request lifecycle: SlabPool/RingBuffer semantics, crash/restart
 // interacting with pooled state (queued-burst kills, crash-to-zero with
 // waiters pending, re-admission ordering), handle-generation safety for
-// orphaned attempts, and the bounded completion log. The crash/orphan tests
-// double as use-after-free probes for recycled slots under the ASan CI job.
+// orphaned attempts, and pool reuse under steady traffic. The crash/orphan
+// tests double as use-after-free probes for recycled slots under the ASan CI
+// job.
 
 #include <gtest/gtest.h>
 
@@ -295,52 +296,6 @@ TEST(PooledLifecycle, PoolsRecycleAcrossSequentialRequests) {
   EXPECT_EQ(st.requests.capacity, 256u);
   EXPECT_EQ(st.requests.acquires, 1000u);
   EXPECT_EQ(st.requests.live + st.calls.live + st.hops.live, 0u);
-}
-
-// --------------------------------------------------------------------------
-// Bounded completion log
-
-TEST(BoundedCompletions, RetainsNewestSuffixAndCountsDrops) {
-  const Application app = TinyApp(/*threads=*/8, /*cores=*/8);
-  sim::Simulation sim;
-  Cluster cluster(sim, app, 1);
-  cluster.SetCompletionLogBound(10);
-  std::uint64_t listener_seen = 0;
-  cluster.telemetry().completion().Subscribe(
-      [&](const CompletionRecord&) { ++listener_seen; });
-  for (int i = 0; i < 35; ++i) {
-    sim.At(Ms(20) * i, [&cluster] {
-      cluster.Submit(0, RequestClass::kLegit, false, 1);
-    });
-  }
-  sim.RunAll();
-
-  EXPECT_EQ(cluster.completed_count(), 35u);
-  EXPECT_EQ(listener_seen, 35u);  // the bound drops storage, not visibility
-  const auto& log = cluster.completions();
-  ASSERT_GE(log.size(), 10u);
-  ASSERT_LT(log.size(), 20u);  // compacts at 2n
-  EXPECT_EQ(cluster.completions_dropped() + log.size(), 35u);
-  // The retained records are the newest contiguous suffix, still in
-  // completion order.
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    EXPECT_EQ(log[i].request_id,
-              35u - log.size() + i);
-  }
-}
-
-TEST(BoundedCompletions, UnboundedByDefault) {
-  const Application app = TinyApp(/*threads=*/8, /*cores=*/8);
-  sim::Simulation sim;
-  Cluster cluster(sim, app, 1);
-  for (int i = 0; i < 35; ++i) {
-    sim.At(Ms(20) * i, [&cluster] {
-      cluster.Submit(0, RequestClass::kLegit, false, 1);
-    });
-  }
-  sim.RunAll();
-  EXPECT_EQ(cluster.completions().size(), 35u);
-  EXPECT_EQ(cluster.completions_dropped(), 0u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@ struct Rig {
   sim::Simulation sim;
   microsvc::Application app = grunt::testing::SingleChainApp();
   microsvc::Cluster cluster{sim, app, 1};
+  grunt::testing::CompletionLog completions{cluster};
   SimTargetClient client{cluster};
 };
 
@@ -49,9 +50,9 @@ TEST(SimTargetClient, SendAttributesClassAndReportsTimestamps) {
   EXPECT_EQ(sent, 0);
   EXPECT_EQ(completed, Ms(9) + Us(1200));
   EXPECT_TRUE(ok);
-  ASSERT_EQ(rig.cluster.completions().size(), 1u);
-  EXPECT_EQ(rig.cluster.completions()[0].cls, microsvc::RequestClass::kAttack);
-  EXPECT_EQ(rig.cluster.completions()[0].client_id, 777u);
+  ASSERT_EQ(rig.completions.size(), 1u);
+  EXPECT_EQ(rig.completions[0].cls, microsvc::RequestClass::kAttack);
+  EXPECT_EQ(rig.completions[0].client_id, 777u);
   EXPECT_EQ(rig.client.requests_sent(), 1u);
 }
 
@@ -59,7 +60,8 @@ TEST(SimTargetClient, ProbeTrafficTaggedAsProbe) {
   Rig rig;
   rig.client.Send(0, false, 1, /*attack_traffic=*/false, nullptr);
   rig.sim.RunAll();
-  EXPECT_EQ(rig.cluster.completions()[0].cls, microsvc::RequestClass::kProbe);
+  ASSERT_EQ(rig.completions.size(), 1u);
+  EXPECT_EQ(rig.completions[0].cls, microsvc::RequestClass::kProbe);
 }
 
 TEST(SimTargetClient, ClockAndSchedulingMirrorSimulation) {

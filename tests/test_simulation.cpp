@@ -333,6 +333,7 @@ GoldenRun RunGoldenScenario() {
   Simulation sim;
   const auto app = grunt::testing::TwoPathParallelApp();
   microsvc::Cluster cluster(sim, app, /*seed=*/42);
+  const grunt::testing::CompletionLog completions(cluster);
   RngStream arrivals(42, "determinism.arrivals");
   SimTime t = 0;
   for (int i = 0; i < 400; ++i) {
@@ -353,7 +354,7 @@ GoldenRun RunGoldenScenario() {
   GoldenRun out;
   out.events = sim.events_fired();
   std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  for (const auto& rec : cluster.completions()) {
+  for (const auto& rec : completions) {
     h = HashMix(h, rec.request_id);
     h = HashMix(h, static_cast<std::uint64_t>(rec.type));
     h = HashMix(h, static_cast<std::uint64_t>(rec.start));
@@ -434,6 +435,7 @@ GoldenRun RunRetryFaultGoldenScenario() {
   const auto app = std::move(b).Build();
 
   microsvc::Cluster cluster(sim, app, /*seed=*/7);
+  const grunt::testing::CompletionLog completions(cluster);
   RngStream arrivals(7, "determinism.fault.arrivals");
   SimTime t = 0;
   for (int i = 0; i < 300; ++i) {
@@ -462,7 +464,7 @@ GoldenRun RunRetryFaultGoldenScenario() {
   GoldenRun out;
   out.events = sim.events_fired();
   std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const auto& rec : cluster.completions()) {
+  for (const auto& rec : completions) {
     h = HashMix(h, rec.request_id);
     h = HashMix(h, static_cast<std::uint64_t>(rec.type));
     h = HashMix(h, static_cast<std::uint64_t>(rec.start));
