@@ -103,9 +103,9 @@ int main() {
   const SimTime att_to = attack_start + Sec(40);
   for (const char* name : services) {
     const auto sid = *app.FindService(name);
-    const auto& series = rig.fine_monitor().cpu_util(sid);
+    const SeriesView series = rig.fine_monitor().cpu_util(sid);
     std::int64_t hot = 0, total = 0;
-    for (const auto& p : series.points()) {
+    for (const TimePoint p : series) {
       if (p.time < attack_start || p.time >= att_to) continue;
       ++total;
       hot += (p.value > 0.95);

@@ -80,7 +80,7 @@ int main() {
     // Mean attack burst volume in this window across all groups.
     RunningStats vol;
     for (const auto& g : report.groups) {
-      for (const auto& p : g.burst_volume.points()) {
+      for (const TimePoint p : g.burst_volume.view()) {
         if (p.time >= t && p.time < t + Sec(10)) vol.Add(p.value);
       }
     }

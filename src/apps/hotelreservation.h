@@ -13,7 +13,7 @@ struct HotelReservationOptions {
   double capacity_scale = 1.0;
   microsvc::ServiceTimeDist dist = microsvc::ServiceTimeDist::kExponential;
   /// Fault-tolerance deployment; defaults off (paper configuration).
-  ResilienceOptions resilience;
+  ResilienceOptions resilience{};
 };
 
 /// A second DeathStarBench-style target (extension beyond the paper's

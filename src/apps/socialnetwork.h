@@ -20,7 +20,7 @@ struct SocialNetworkOptions {
   double queue_scale = 1.0;
   /// Fault-tolerance deployment (timeouts/retries/shedding/breakers);
   /// defaults off so the paper's figures reproduce unchanged.
-  ResilienceOptions resilience;
+  ResilienceOptions resilience{};
 };
 
 /// Builds a SocialNetwork-style microservice application modeled on the

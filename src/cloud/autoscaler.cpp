@@ -35,8 +35,8 @@ void AutoScaler::Evaluate() {
       static_cast<std::size_t>(cfg_.window / monitor_.granularity());
   for (std::size_t i = 0; i < cluster_.service_count(); ++i) {
     const auto sid = static_cast<microsvc::ServiceId>(i);
-    const auto& series = monitor_.cpu_util(sid);
-    const RunningStats window = series.WindowStats(now - cfg_.window, now);
+    const RunningStats window =
+        monitor_.cpu_util(sid).WindowStats(now - cfg_.window, now);
     if (window.count() < window_ticks) continue;  // not enough data yet
     auto& svc = cluster_.service(sid);
     if (now - last_action_[i] < cfg_.cooldown) continue;

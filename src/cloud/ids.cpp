@@ -75,7 +75,7 @@ void Ids::Evaluate() {
   if (monitor_ != nullptr) {
     for (std::size_t i = 0; i < next_util_sample_.size(); ++i) {
       const auto sid = static_cast<microsvc::ServiceId>(i);
-      const auto& series = monitor_->cpu_util(sid);
+      const SeriesView series = monitor_->cpu_util(sid);
       for (; next_util_sample_[i] < series.size(); ++next_util_sample_[i]) {
         if (series.at(next_util_sample_[i]).value >=
             cfg_.saturation_threshold) {
@@ -92,7 +92,7 @@ void Ids::Evaluate() {
     }
   }
   if (rt_monitor_ != nullptr) {
-    const auto& series = rt_monitor_->legit_mean_ms();
+    const SeriesView series = rt_monitor_->legit_mean_ms();
     for (; next_rt_sample_ < series.size(); ++next_rt_sample_) {
       if (series.at(next_rt_sample_).value >= cfg_.degradation_rt_ms) {
         Raise(AlertRule::kServiceDegradation, 0, /*attack_attributed=*/false);

@@ -1,16 +1,17 @@
 #include "cloud/monitor.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace grunt::cloud {
 
 ResourceMonitor::ResourceMonitor(microsvc::Cluster& cluster, Config cfg)
-    : cluster_(cluster), cfg_(std::move(cfg)) {
+    : cluster_(cluster),
+      cfg_(std::move(cfg)),
+      samples_(kPerService * cluster.service_count() + 1),
+      row_(samples_.columns()) {
   const std::size_t n = cluster_.service_count();
   prev_busy_.assign(n, 0);
-  cpu_util_.resize(n);
-  queue_len_.resize(n);
-  replicas_.resize(n);
   // Resolve the bus-fed gauges once; the Cluster registered them at
   // construction. Sampling reads exclusively through these handles.
   auto& reg = cluster_.telemetry().metrics();
@@ -60,23 +61,34 @@ void ResourceMonitor::Sample() {
             ? 0.0
             : std::clamp((busy - prev_busy_[i]) / window_core_us, 0.0, 1.0);
     prev_busy_[i] = busy;
-    cpu_util_[i].Add(now, util);
-    queue_len_[i].Add(now, reg.ReadGauge(g.queue_len));
-    replicas_[i].Add(now, reg.ReadGauge(g.replicas));
+    double* cols = &row_[kPerService * i];
+    cols[kCpuUtil] = util;
+    cols[kQueueLen] = reg.ReadGauge(g.queue_len);
+    cols[kReplicas] = reg.ReadGauge(g.replicas);
   }
   const double bytes = reg.ReadGauge(gateway_bytes_g_);
-  const double mbps =
+  row_.back() =
       (bytes - prev_gateway_bytes_) / (1e6 * ToSeconds(cfg_.granularity));
   prev_gateway_bytes_ = bytes;
-  gateway_mbps_.Add(now, mbps);
+  samples_.AddRow(now, row_);
+}
+
+SeriesView ResourceMonitor::ServiceColumn(ServiceColumnKind kind,
+                                          microsvc::ServiceId s) const {
+  const auto i = static_cast<std::size_t>(s);
+  if (i >= gauges_.size()) {
+    throw std::out_of_range("ResourceMonitor: no such service");
+  }
+  return samples_.column(kPerService * i + kind);
 }
 
 microsvc::ServiceId ResourceMonitor::HottestService(SimTime from,
                                                     SimTime to) const {
   microsvc::ServiceId best = 0;
   double best_util = -1;
-  for (std::size_t i = 0; i < cpu_util_.size(); ++i) {
-    const double mean = cpu_util_[i].WindowMean(from, to);
+  for (std::size_t i = 0; i < gauges_.size(); ++i) {
+    const double mean =
+        cpu_util(static_cast<microsvc::ServiceId>(i)).WindowMean(from, to);
     if (mean > best_util) {
       best_util = mean;
       best = static_cast<microsvc::ServiceId>(i);
@@ -121,16 +133,15 @@ void ResponseTimeMonitor::Stop() {
 }
 
 void ResponseTimeMonitor::Flush() {
-  const SimTime now = cluster_.simulation().Now();
-  legit_mean_ms_.Add(now, window_.mean());
   const double total =
       static_cast<double>(window_.count() + window_errors_);
-  legit_throughput_.Add(now, total / ToSeconds(cfg_.granularity));
-  goodput_.Add(now, static_cast<double>(window_.count()) /
-                        ToSeconds(cfg_.granularity));
-  error_rate_.Add(now, total <= 0
-                           ? 0.0
-                           : static_cast<double>(window_errors_) / total);
+  std::array<double, kColumns> row{};
+  row[kLegitMeanMs] = window_.mean();
+  row[kGoodput] =
+      static_cast<double>(window_.count()) / ToSeconds(cfg_.granularity);
+  row[kErrorRate] =
+      total <= 0 ? 0.0 : static_cast<double>(window_errors_) / total;
+  series_.AddRow(cluster_.simulation().Now(), row);
   window_.Clear();
   window_errors_ = 0;
 }

@@ -35,24 +35,37 @@ class ResourceMonitor {
   const std::string& name() const { return cfg_.name; }
 
   /// Utilization in [0,1] per sample window.
-  const TimeSeries& cpu_util(microsvc::ServiceId s) const {
-    return cpu_util_.at(static_cast<std::size_t>(s));
+  SeriesView cpu_util(microsvc::ServiceId s) const {
+    return ServiceColumn(kCpuUtil, s);
   }
   /// Instantaneous queue length (in-service + waiting) at sample times.
-  const TimeSeries& queue_len(microsvc::ServiceId s) const {
-    return queue_len_.at(static_cast<std::size_t>(s));
+  SeriesView queue_len(microsvc::ServiceId s) const {
+    return ServiceColumn(kQueueLen, s);
   }
   /// Gateway traffic in MB/s per sample window.
-  const TimeSeries& gateway_mbps() const { return gateway_mbps_; }
+  SeriesView gateway_mbps() const {
+    return samples_.column(samples_.columns() - 1);
+  }
   /// Replica count at sample times.
-  const TimeSeries& replicas(microsvc::ServiceId s) const {
-    return replicas_.at(static_cast<std::size_t>(s));
+  SeriesView replicas(microsvc::ServiceId s) const {
+    return ServiceColumn(kReplicas, s);
   }
 
   /// Service with the highest mean utilization over [from, to).
   microsvc::ServiceId HottestService(SimTime from, SimTime to) const;
 
  private:
+  /// Column layout of samples_: kPerService columns per service (service s
+  /// owns columns [kPerService * s, kPerService * (s + 1))), then the
+  /// gateway column.
+  enum ServiceColumnKind : std::size_t {
+    kCpuUtil,
+    kQueueLen,
+    kReplicas,
+    kPerService
+  };
+  SeriesView ServiceColumn(ServiceColumnKind kind,
+                           microsvc::ServiceId s) const;
   void Sample();
 
   microsvc::Cluster& cluster_;
@@ -71,10 +84,9 @@ class ResourceMonitor {
   telemetry::MetricsRegistry::Id gateway_bytes_g_;
   std::vector<double> prev_busy_;
   double prev_gateway_bytes_ = 0;
-  std::vector<TimeSeries> cpu_util_;
-  std::vector<TimeSeries> queue_len_;
-  std::vector<TimeSeries> replicas_;
-  TimeSeries gateway_mbps_;
+  /// Every series on one clock: one row per tick.
+  SeriesTable samples_;
+  std::vector<double> row_;  ///< the row Sample() fills, reused every tick
 };
 
 /// Windows end-to-end response times of completed requests into a mean /
@@ -99,14 +111,12 @@ class ResponseTimeMonitor {
   void Stop();
 
   /// Mean RT (ms) of legitimate requests completed per window (0 if none).
-  const TimeSeries& legit_mean_ms() const { return legit_mean_ms_; }
-  /// Legitimate completions per second per window (any outcome).
-  const TimeSeries& legit_throughput() const { return legit_throughput_; }
+  SeriesView legit_mean_ms() const { return series_.column(kLegitMeanMs); }
   /// Successful legitimate completions per second per window.
-  const TimeSeries& goodput() const { return goodput_; }
+  SeriesView goodput() const { return series_.column(kGoodput); }
   /// Fraction of legitimate completions per window that failed (timeout,
   /// rejection, deadline, crash); 0 when the window is empty.
-  const TimeSeries& error_rate() const { return error_rate_; }
+  SeriesView error_rate() const { return series_.column(kErrorRate); }
 
   /// Cumulative legitimate completions by terminal outcome since Start().
   std::uint64_t legit_outcome_count(microsvc::Outcome o) const {
@@ -118,6 +128,7 @@ class ResponseTimeMonitor {
   Samples LegitWindow(SimTime from, SimTime to) const;
 
  private:
+  enum Column : std::size_t { kLegitMeanMs, kGoodput, kErrorRate, kColumns };
   void Flush();
 
   microsvc::Cluster& cluster_;
@@ -134,10 +145,7 @@ class ResponseTimeMonitor {
   std::uint64_t window_errors_ = 0;  ///< failed legit completions in window
   std::array<std::uint64_t, microsvc::kOutcomeCount> legit_outcomes_{};
   std::vector<std::pair<SimTime, double>> legit_all_;  ///< (end, rt_ms), kOk
-  TimeSeries legit_mean_ms_;
-  TimeSeries legit_throughput_;
-  TimeSeries goodput_;
-  TimeSeries error_rate_;
+  SeriesTable series_{kColumns};  ///< one row per window, on one clock
 };
 
 }  // namespace grunt::cloud

@@ -116,7 +116,9 @@ struct Hop {
   SimDuration post_demand = 0;  ///< mean post-reply CPU burst
   /// Policy governing calls INTO this hop (for hop 0, the external client's
   /// own timeout/retry). Unset = the application-wide default policy.
-  std::optional<RpcPolicy> rpc;
+  /// (The explicit `{}` lets paths be written {service, cpu, post}
+  /// without a -Wmissing-field-initializers warning.)
+  std::optional<RpcPolicy> rpc{};
 
   friend bool operator==(const Hop&, const Hop&) = default;
 };

@@ -18,10 +18,8 @@ const char* KindName(int k) {
 }  // namespace
 
 MetricsRegistry::Id MetricsRegistry::Find(std::string_view name) const {
-  for (std::size_t i = 0; i < metrics_.size(); ++i) {
-    if (metrics_[i].name == name) return static_cast<Id>(i);
-  }
-  return kInvalidId;
+  const auto it = index_.find(name);
+  return it == index_.end() ? kInvalidId : it->second;
 }
 
 MetricsRegistry::Id MetricsRegistry::Intern(std::string_view name, Kind kind) {
@@ -35,11 +33,13 @@ MetricsRegistry::Id MetricsRegistry::Intern(std::string_view name, Kind kind) {
     }
     return existing;
   }
+  const auto id = static_cast<Id>(metrics_.size());
   Metric m;
   m.name = std::string(name);
   m.kind = kind;
   metrics_.push_back(std::move(m));
-  return static_cast<Id>(metrics_.size() - 1);
+  index_.emplace(std::string(name), id);
+  return id;
 }
 
 MetricsRegistry::Id MetricsRegistry::Counter(std::string_view name) {

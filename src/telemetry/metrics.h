@@ -16,6 +16,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "util/json.h"
@@ -91,11 +92,22 @@ class MetricsRegistry {
     double sum = 0;
   };
 
+  /// Lets index_ be searched by string_view without building a string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   Id Intern(std::string_view name, Kind kind);
   json::Value Export(const Metric& m) const;
   static double Quantile(const Metric& m, double q);
 
-  std::vector<Metric> metrics_;
+  std::vector<Metric> metrics_;  ///< by id, in registration order
+  /// name -> id, so that registering a large cluster's gauges (six per
+  /// service) costs time linear, not quadratic, in the service count.
+  std::unordered_map<std::string, Id, NameHash, std::equal_to<>> index_;
 };
 
 }  // namespace grunt::telemetry

@@ -280,9 +280,16 @@ class Parser {
 
   Value ParseValue() {
     SkipWhitespace();
-    switch (Peek()) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+    switch (const char c = Peek()) {
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          Fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        Value v = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return v;
+      }
       case '"': return Value(ParseString());
       case 't':
         if (Consume("true")) return Value(true);
@@ -431,6 +438,7 @@ class Parser {
   }
 
   std::string_view text_;
+  std::size_t depth_ = 0;  ///< open arrays/objects enclosing pos_
   std::size_t pos_ = 0;
 };
 

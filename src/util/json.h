@@ -8,6 +8,7 @@
 // edited spec files. Not goals: streaming, comments, or speed on multi-MB
 // documents (specs are a few hundred KB at most).
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -100,8 +101,14 @@ class Value {
   Object obj_;
 };
 
+/// Deepest nesting of arrays and objects that Parse accepts. The parser
+/// recurses once per level, so the bound keeps a hostile document (a
+/// million '[') from overflowing the stack; specs nest a handful deep.
+inline constexpr std::size_t kMaxDepth = 256;
+
 /// Parses a complete JSON document (trailing garbage is an error). Throws
-/// json::Error with 1-based line:column on malformed input.
+/// json::Error with 1-based line:column on malformed input, including input
+/// nested deeper than kMaxDepth.
 Value Parse(std::string_view text);
 
 /// Reads and parses a file; throws json::Error (with the path) on I/O or

@@ -5,54 +5,57 @@
 
 namespace grunt {
 
-void TimeSeries::Add(SimTime t, double value) {
-  if (!points_.empty() && t < points_.back().time) {
-    throw std::invalid_argument("TimeSeries::Add: time went backwards");
+void SeriesTable::AddRow(SimTime t, std::span<const double> row) {
+  if (row.size() != values_.size()) {
+    throw std::invalid_argument("SeriesTable::AddRow: row width mismatch");
   }
-  points_.push_back({t, value});
+  if (!times_.empty() && t < times_.back()) {
+    throw std::invalid_argument("SeriesTable::AddRow: time went backwards");
+  }
+  times_.push_back(t);
+  for (std::size_t c = 0; c < row.size(); ++c) values_[c].push_back(row[c]);
 }
 
-std::size_t TimeSeries::LowerBound(SimTime t) const {
-  auto it = std::lower_bound(
-      points_.begin(), points_.end(), t,
-      [](const TimePoint& p, SimTime v) { return p.time < v; });
-  return static_cast<std::size_t>(it - points_.begin());
+std::size_t SeriesView::LowerBound(SimTime t) const {
+  return static_cast<std::size_t>(
+      std::lower_bound(times_->begin(), times_->end(), t) - times_->begin());
 }
 
-RunningStats TimeSeries::WindowStats(SimTime from, SimTime to) const {
+RunningStats SeriesView::WindowStats(SimTime from, SimTime to) const {
   RunningStats s;
-  for (std::size_t i = LowerBound(from); i < points_.size(); ++i) {
-    if (points_[i].time >= to) break;
-    s.Add(points_[i].value);
+  const std::vector<SimTime>& times = *times_;
+  const std::vector<double>& values = *values_;
+  for (std::size_t i = LowerBound(from); i < values.size(); ++i) {
+    if (times[i] >= to) break;
+    s.Add(values[i]);
   }
   return s;
 }
 
-double TimeSeries::WindowMax(SimTime from, SimTime to) const {
+double SeriesView::WindowMax(SimTime from, SimTime to) const {
   const RunningStats s = WindowStats(from, to);
   return s.count() == 0 ? 0.0 : s.max();
 }
 
-double TimeSeries::WindowMean(SimTime from, SimTime to) const {
+double SeriesView::WindowMean(SimTime from, SimTime to) const {
   return WindowStats(from, to).mean();
 }
 
-SimDuration TimeSeries::LongestRunAbove(double threshold, SimTime from,
+SimDuration SeriesView::LongestRunAbove(double threshold, SimTime from,
                                         SimTime to) const {
   SimDuration best = 0;
   bool in_run = false;
   SimTime run_start = 0;
-  SimTime last_time = 0;
-  for (std::size_t i = LowerBound(from); i < points_.size(); ++i) {
-    const TimePoint& p = points_[i];
-    if (p.time >= to) break;
-    if (p.value >= threshold) {
+  const std::vector<SimTime>& times = *times_;
+  const std::vector<double>& values = *values_;
+  for (std::size_t i = LowerBound(from); i < values.size(); ++i) {
+    if (times[i] >= to) break;
+    if (values[i] >= threshold) {
       if (!in_run) {
         in_run = true;
-        run_start = p.time;
+        run_start = times[i];
       }
-      last_time = p.time;
-      best = std::max(best, last_time - run_start);
+      best = std::max(best, times[i] - run_start);
     } else {
       in_run = false;
     }
@@ -60,7 +63,7 @@ SimDuration TimeSeries::LongestRunAbove(double threshold, SimTime from,
   return best;
 }
 
-std::vector<TimePoint> TimeSeries::Resample(SimTime from, SimTime to,
+std::vector<TimePoint> SeriesView::Resample(SimTime from, SimTime to,
                                             SimDuration width) const {
   if (width <= 0) throw std::invalid_argument("Resample: width <= 0");
   std::vector<TimePoint> out;

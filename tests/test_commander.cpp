@@ -128,8 +128,8 @@ TEST(GroupCommander, AttackMaintainsDamageAndStealth) {
   EXPECT_GT(stats.attack_requests, 100u);
   // Damage estimate reached a meaningful multiple of the ~15ms baseline
   // over the attack (mean of the probe-based t_min series)...
-  const RunningStats tmin =
-      stats.tmin_est_ms.WindowStats(0, stats.tmin_est_ms.back().time + 1);
+  const SeriesView tmin_est = stats.tmin_est_ms.view();
+  const RunningStats tmin = tmin_est.WindowStats(0, tmin_est.back().time + 1);
   EXPECT_GT(tmin.mean(), 80.0);
   // ...while the average created millibottleneck respects the cap (with
   // control slack).

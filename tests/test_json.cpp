@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 namespace grunt::json {
 namespace {
@@ -59,6 +60,50 @@ TEST(JsonParse, RejectsTrailingGarbageAndBadDocs) {
   EXPECT_THROW(Parse("[1,]"), Error);
   EXPECT_THROW(Parse("{\"a\" 1}"), Error);
   EXPECT_THROW(Parse("nul"), Error);
+}
+
+std::string NestedArrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(JsonParse, NestingAtTheDepthLimitParses) {
+  const Value v = Parse(NestedArrays(kMaxDepth));
+  std::size_t depth = 1;
+  for (const Value* a = &v; !a->AsArray().empty(); ++depth) {
+    a = &a->AsArray()[0];
+  }
+  EXPECT_EQ(depth, kMaxDepth);
+
+  std::string objects;
+  for (std::size_t i = 0; i < kMaxDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(kMaxDepth, '}');
+  EXPECT_NO_THROW(Parse(objects));
+}
+
+TEST(JsonParse, NestingPastTheDepthLimitThrowsAtTheOffendingBracket) {
+  try {
+    Parse(NestedArrays(kMaxDepth + 1));
+    FAIL() << "expected a nesting-depth error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("nesting deeper than"), std::string::npos) << what;
+    // The (kMaxDepth + 1)-th '[' sits at column kMaxDepth + 1 of line 1.
+    EXPECT_NE(what.find("at 1:" + std::to_string(kMaxDepth + 1) + ":"),
+              std::string::npos)
+        << what;
+  }
+  std::string objects;
+  for (std::size_t i = 0; i <= kMaxDepth; ++i) objects += "{\"a\":";
+  EXPECT_THROW(Parse(objects + "1" + std::string(kMaxDepth + 1, '}')),
+               Error);
+}
+
+TEST(JsonParse, MillionDeepInputThrowsInsteadOfOverflowingTheStack) {
+  EXPECT_THROW(Parse(std::string(1'000'000, '[')), Error);
+  EXPECT_THROW(Parse(NestedArrays(1'000'000)), Error);
+  std::string objects;
+  for (int i = 0; i < 1'000'000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(Parse(objects), Error);
 }
 
 TEST(JsonValue, TypedAccessorMismatchThrows) {

@@ -301,13 +301,14 @@ TEST(TelemetryPlane, ResourceMonitorMatchesDirectServiceSampling) {
   }
 
   for (std::size_t s = 0; s < n; ++s) {
-    const auto& series = monitor.cpu_util(static_cast<ServiceId>(s)).points();
+    const SeriesView series = monitor.cpu_util(static_cast<ServiceId>(s));
     ASSERT_EQ(series.size(), manual_util[s].size());
     bool any_nonzero = false;
     for (std::size_t k = 0; k < series.size(); ++k) {
-      EXPECT_EQ(series[k].time, Sec(static_cast<long long>(k) + 1));
-      EXPECT_EQ(series[k].value, manual_util[s][k]);  // bit-identical
-      any_nonzero = any_nonzero || series[k].value > 0;
+      const TimePoint p = series.at(k);
+      EXPECT_EQ(p.time, Sec(static_cast<long long>(k) + 1));
+      EXPECT_EQ(p.value, manual_util[s][k]);  // bit-identical
+      any_nonzero = any_nonzero || p.value > 0;
     }
     EXPECT_TRUE(any_nonzero);  // the parity check must not be vacuous
   }
