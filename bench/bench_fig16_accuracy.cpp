@@ -9,11 +9,12 @@
 
 #include <cstdio>
 
-#include "apps/mubench.h"
 #include "attack/botfarm.h"
 #include "attack/profiler.h"
 #include "attack/sim_target_client.h"
 #include "rig.h"
+#include "scenario/generate.h"
+#include "scenario/loader.h"
 #include "trace/dependency.h"
 
 using namespace grunt;
@@ -26,11 +27,11 @@ struct Score {
   int tp = 0, fp = 0, fn = 0;
 };
 
-Score ProfileAndScore(const microsvc::Application& app, double per_path_rate,
+Score ProfileAndScore(const microsvc::Application& app,
+                      const workload::RequestMix& mix, double per_path_rate,
                       std::uint64_t seed) {
   sim::Simulation sim;
   microsvc::Cluster cluster(sim, app, seed);
-  const workload::RequestMix mix = apps::MuBenchMix(app);
   double weight_total = 0;
   for (double w : mix.weights) weight_total += w;
   workload::OpenLoopSource::Config wl;
@@ -85,14 +86,11 @@ int main() {
   const double kRates[] = {5, 15, 30, 50, 70, 95, 120, 145};
 
   for (int services : kServiceCounts) {
-    apps::MuBenchOptions opts;
-    opts.services = services;
-    opts.groups = 3;
-    opts.paths_per_group = 3;
-    opts.upstream_paths = 1;
-    opts.singleton_paths = 2;
-    opts.seed = static_cast<std::uint64_t>(services);
-    const auto app = apps::MakeMuBench(opts);
+    const scenario::ScenarioSpec spec = scenario::GenerateMubench(
+        static_cast<std::uint64_t>(services), {.services = services});
+    const auto app = scenario::BuildApplication(spec.topology);
+    const workload::RequestMix mix =
+        scenario::BuildRequestMix(app, spec.workload);
     std::printf("\n--- App with %d unique microservices (%zu public paths) "
                 "---\n",
                 services, app.PublicDynamicTypes().size());
@@ -100,7 +98,7 @@ int main() {
                 "recall", "f-score", "(tp/fp/fn)");
     std::fflush(stdout);
     for (double rate : kRates) {
-      const Score s = ProfileAndScore(app, rate,
+      const Score s = ProfileAndScore(app, mix, rate,
                                       static_cast<std::uint64_t>(rate) * 17 +
                                           static_cast<std::uint64_t>(services));
       std::printf("%13.0f/s %10.2f %10.2f %10.2f %8d/%d/%d\n", rate,

@@ -41,11 +41,9 @@ struct ScenarioResult {
   std::int64_t bottleneck_bursts = 0;
 };
 
-ScenarioResult RunScenario(const apps::ResilienceOptions& res) {
+ScenarioResult RunScenario(const scenario::DeploymentParams& deployment) {
   sim::Simulation sim;
-  apps::SocialNetworkOptions aopts;
-  aopts.resilience = res;
-  const auto app = apps::MakeSocialNetwork(aopts);
+  const auto app = apps::MakeSocialNetwork(deployment);
   microsvc::Cluster cluster(sim, app, 91);
 
   std::vector<LegitSample> legit;
@@ -126,10 +124,10 @@ int main() {
   rpc.backoff_multiplier = 2.0;
   rpc.jitter = 0.2;
 
-  apps::ResilienceOptions none;
-  apps::ResilienceOptions retries;
+  scenario::DeploymentParams none;
+  scenario::DeploymentParams retries;
   retries.default_rpc = rpc;
-  apps::ResilienceOptions shedding;
+  scenario::DeploymentParams shedding;
   shedding.default_rpc = rpc;
   shedding.max_queue_per_replica = 32;
   shedding.breaker_threshold = 5;
@@ -138,12 +136,12 @@ int main() {
   Table table({"Scenario", "Base p95 (ms)", "Attack p95 (ms)", "Reject %",
                "Error %", "Goodput (req/s)", "Retries/req",
                "Bottleneck bursts"});
-  const std::vector<std::pair<std::string, apps::ResilienceOptions>>
+  const std::vector<std::pair<std::string, scenario::DeploymentParams>>
       scenarios = {{"none", none}, {"retries", retries},
                    {"retries+shedding", shedding}};
-  for (const auto& [name, res] : scenarios) {
+  for (const auto& [name, deployment] : scenarios) {
     std::printf("running %s...\n", name.c_str());
-    const auto r = RunScenario(res);
+    const auto r = RunScenario(deployment);
     table.AddRow({name, Table::Num(r.base_p95), Table::Num(r.att_p95),
                   Table::Num(r.reject_pct, 1), Table::Num(r.error_pct, 1),
                   Table::Num(r.goodput, 1), Table::Num(r.retries_per_req, 2),

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/mubench.h"
 #include "apps/socialnetwork.h"
 #include "attack/grunt_attack.h"
 #include "attack/sim_target_client.h"

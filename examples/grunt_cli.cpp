@@ -12,15 +12,15 @@
 #include <cstring>
 #include <string>
 
-#include "apps/hotelreservation.h"
-#include "apps/mubench.h"
-#include "apps/socialnetwork.h"
 #include "attack/grunt_attack.h"
 #include "attack/sim_target_client.h"
 #include "cloud/autoscaler.h"
 #include "cloud/ids.h"
 #include "cloud/monitor.h"
 #include "microsvc/cluster.h"
+#include "scenario/builtin_apps.h"
+#include "scenario/generate.h"
+#include "scenario/loader.h"
 #include "workload/workload.h"
 
 using namespace grunt;
@@ -103,30 +103,13 @@ int main(int argc, char** argv) {
   Args args;
   if (!Parse(argc, argv, args)) return 2;
 
-  microsvc::Application app = [&] {
-    if (args.app == "hotelreservation") {
-      return apps::MakeHotelReservation({});
-    }
-    if (args.app == "mubench") {
-      apps::MuBenchOptions opts;
-      opts.seed = args.seed;
-      return apps::MakeMuBench(opts);
-    }
-    return apps::MakeSocialNetwork({});
-  }();
-  workload::MarkovNavigator nav = [&] {
-    if (args.app == "hotelreservation") {
-      return apps::HotelReservationNavigator(app);
-    }
-    if (args.app == "mubench") {
-      const auto mix = apps::MuBenchMix(app);
-      workload::MarkovNavigator n;
-      n.types = mix.types;
-      n.transition.assign(mix.types.size(), mix.weights);
-      return n;
-    }
-    return apps::SocialNetworkNavigator(app);
-  }();
+  const scenario::ScenarioSpec spec =
+      args.app == "hotelreservation" ? scenario::HotelReservationScenario()
+      : args.app == "mubench"        ? scenario::GenerateMubench(args.seed)
+                                     : scenario::SocialNetworkScenario();
+  const microsvc::Application app = scenario::BuildApplication(spec.topology);
+  const workload::MarkovNavigator nav =
+      scenario::BuildNavigator(app, spec.workload);
 
   sim::Simulation sim;
   microsvc::Cluster cluster(sim, app, args.seed);

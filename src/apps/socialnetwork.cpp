@@ -3,36 +3,16 @@
 #include "scenario/builtin_apps.h"
 #include "scenario/loader.h"
 
-// The topology itself now lives in the declarative scenario layer
+// The topology itself lives in the declarative scenario layer
 // (scenario::SocialNetworkScenario, shipped as specs/socialnetwork.json);
-// these factories are thin wrappers kept for source compatibility.
+// these forwarders keep the SocialNetwork entry points the repository
+// benchmark harness builds on.
 
 namespace grunt::apps {
 
-namespace {
-
-scenario::DeploymentParams ToParams(const SocialNetworkOptions& opts) {
-  scenario::DeploymentParams p;
-  p.replica_scale = opts.replica_scale;
-  p.capacity_scale = opts.capacity_scale;
-  p.dist = opts.dist;
-  p.queue_scale = opts.queue_scale;
-  p.default_rpc = opts.resilience.default_rpc;
-  p.max_queue_per_replica = opts.resilience.max_queue_per_replica;
-  p.breaker_threshold = opts.resilience.breaker_threshold;
-  p.breaker_cooldown = opts.resilience.breaker_cooldown;
-  p.bulkhead_per_downstream = opts.resilience.bulkhead_per_downstream;
-  p.adaptive_limit = opts.resilience.adaptive_limit;
-  p.deadline_shed = opts.resilience.deadline_shed;
-  p.endpoint_deadline = opts.resilience.endpoint_deadline;
-  return p;
-}
-
-}  // namespace
-
 microsvc::Application MakeSocialNetwork(const SocialNetworkOptions& opts) {
   return scenario::BuildApplication(
-      scenario::SocialNetworkScenario(ToParams(opts)).topology);
+      scenario::SocialNetworkScenario(opts).topology);
 }
 
 workload::RequestMix SocialNetworkMix(const microsvc::Application& app) {

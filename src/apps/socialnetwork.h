@@ -1,27 +1,16 @@
 #pragma once
 
-#include "apps/resilience.h"
 #include "microsvc/application.h"
+#include "scenario/builder.h"
 #include "workload/workload.h"
 
 namespace grunt::apps {
 
-/// Knobs for instantiating the SocialNetwork benchmark topology.
-struct SocialNetworkOptions {
-  /// Scales the initial replica count of backend services (the paper's
-  /// higher-workload settings run against proportionally larger clusters).
-  std::int32_t replica_scale = 1;
-  /// Relative capacity of the hosting cloud (EC2 = 1.0; used to model the
-  /// slightly different vCPU throughput across providers).
-  double capacity_scale = 1.0;
-  microsvc::ServiceTimeDist dist = microsvc::ServiceTimeDist::kExponential;
-  /// Multiplies every backend service's thread-pool (queue) size; the
-  /// Sec VI "Impact of microservice's queue size" knob. 1.0 = reference.
-  double queue_scale = 1.0;
-  /// Fault-tolerance deployment (timeouts/retries/shedding/breakers);
-  /// defaults off so the paper's figures reproduce unchanged.
-  ResilienceOptions resilience{};
-};
+/// Knobs for instantiating the SocialNetwork benchmark topology: the shared
+/// deployment knobs (replica_scale, capacity_scale, dist, queue_scale and
+/// the fault-tolerance / degradation fields), declared once in the
+/// scenario layer.
+using SocialNetworkOptions = scenario::DeploymentParams;
 
 /// Builds a SocialNetwork-style microservice application modeled on the
 /// DeathStarBench SocialNetwork call graph the paper attacks (Fig 12a):

@@ -399,7 +399,6 @@ void GroupCommander::OnBurstDone(std::size_t path_idx,
     stats_.bursts.push_back({obs.burst_start, p.plan.url, p.plan.rate,
                              p.plan.count, pmb_raw, tmin_raw,
                              obs.OkFraction()});
-    stats_.pmb_est_ms.Add(now, pmb_est);
     stats_.burst_volume.Add(now, static_cast<double>(p.plan.count));
   }
 

@@ -117,6 +117,11 @@ ResponseTimeMonitor::ResponseTimeMonitor(microsvc::Cluster& cluster,
     const double rt_ms = ToMillis(r.end - r.start);
     window_.Add(rt_ms);
     cluster_.telemetry().metrics().Observe(rt_hist_, rt_ms);
+    // LegitWindow binary-searches on end time: completions are published
+    // at Now(), so appends must arrive in end-time order.
+    if (!legit_all_.empty() && r.end < legit_all_.back().first) {
+      throw std::logic_error("ResponseTimeMonitor: out-of-order completion");
+    }
     legit_all_.emplace_back(r.end, rt_ms);
   });
 }
@@ -147,10 +152,16 @@ void ResponseTimeMonitor::Flush() {
 }
 
 Samples ResponseTimeMonitor::LegitWindow(SimTime from, SimTime to) const {
+  // legit_all_ is sorted by end time (enforced on append), so [from, to) is
+  // one contiguous run.
+  auto by_end = [](const std::pair<SimTime, double>& e, SimTime t) {
+    return e.first < t;
+  };
+  const auto first =
+      std::lower_bound(legit_all_.begin(), legit_all_.end(), from, by_end);
+  const auto last = std::lower_bound(first, legit_all_.end(), to, by_end);
   Samples out;
-  for (const auto& [end, rt] : legit_all_) {
-    if (end >= from && end < to) out.Add(rt);
-  }
+  for (auto it = first; it < last; ++it) out.Add(it->second);
   return out;
 }
 

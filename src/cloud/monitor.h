@@ -144,7 +144,8 @@ class ResponseTimeMonitor {
   Samples window_;  ///< successful legit RTs in the current window
   std::uint64_t window_errors_ = 0;  ///< failed legit completions in window
   std::array<std::uint64_t, microsvc::kOutcomeCount> legit_outcomes_{};
-  std::vector<std::pair<SimTime, double>> legit_all_;  ///< (end, rt_ms), kOk
+  /// (end, rt_ms) of every kOk legit completion, in end-time order.
+  std::vector<std::pair<SimTime, double>> legit_all_;
   SeriesTable series_{kColumns};  ///< one row per window, on one clock
 };
 

@@ -26,13 +26,7 @@ ScenarioSpec SocialNetworkScenario(const DeploymentParams& p) {
     throw std::invalid_argument("SocialNetworkScenario: bad params");
   }
   SpecBuilder b("socialnetwork");
-  b.SetServiceTimeDist(p.dist).SetNetLatency(Us(400));
-  b.SetDefaultRpc(p.default_rpc);
-  b.SetBackendAdmission(p.max_queue_per_replica, p.breaker_threshold,
-                        p.breaker_cooldown);
-  b.SetBackendDegradation(p.bulkhead_per_downstream, p.adaptive_limit,
-                          p.deadline_shed);
-  b.SetEndpointDeadline(p.endpoint_deadline);
+  b.SetDeployment(p).SetNetLatency(Us(400));
 
   const std::int32_t r = p.replica_scale;
   // queue_scale applies to backend services; the gateway keeps its huge
@@ -216,13 +210,7 @@ ScenarioSpec HotelReservationScenario(const DeploymentParams& p) {
     throw std::invalid_argument("HotelReservationScenario: bad params");
   }
   SpecBuilder b("hotelreservation");
-  b.SetServiceTimeDist(p.dist).SetNetLatency(Us(400));
-  b.SetDefaultRpc(p.default_rpc);
-  b.SetBackendAdmission(p.max_queue_per_replica, p.breaker_threshold,
-                        p.breaker_cooldown);
-  b.SetBackendDegradation(p.bulkhead_per_downstream, p.adaptive_limit,
-                          p.deadline_shed);
-  b.SetEndpointDeadline(p.endpoint_deadline);
+  b.SetDeployment(p).SetNetLatency(Us(400));
 
   const std::int32_t r = p.replica_scale;
   auto svc = [&](const char* name, std::int32_t threads, std::int32_t cores,

@@ -1,57 +1,15 @@
 #pragma once
 
-// Spec-first construction of the built-in application scenarios. These are
-// the declarative ports of the topologies that used to be hard-coded in
-// src/apps — the apps' Make* factories are now thin wrappers over
-// BuildApplication(...) of what these functions return, and the shipped
-// files under specs/ are their dumps at default parameters.
+// Spec-first construction of the built-in application scenarios: the
+// declarative ports of the topologies that used to be hard-coded in
+// src/apps. Callers build with BuildApplication(...) of what these functions
+// return, and the shipped files under specs/ are their dumps at default
+// parameters.
 
-#include <cstdint>
-#include <optional>
-
+#include "scenario/builder.h"
 #include "scenario/spec.h"
 
 namespace grunt::scenario {
-
-/// Deployment knobs shared by the built-in scenarios (the union of the
-/// apps' per-topology Options structs; fields a topology does not use are
-/// ignored — e.g. queue_scale only affects SocialNetwork).
-struct DeploymentParams {
-  /// Scales the initial replica count of backend services.
-  std::int32_t replica_scale = 1;
-  /// Relative capacity of the hosting cloud (EC2 = 1.0).
-  double capacity_scale = 1.0;
-  microsvc::ServiceTimeDist dist = microsvc::ServiceTimeDist::kExponential;
-  /// Multiplies every backend service's thread-pool (queue) size.
-  double queue_scale = 1.0;
-  /// Fault-tolerance deployment, all off by default (paper configuration).
-  std::optional<microsvc::RpcPolicy> default_rpc;
-  /// Policy for the gateway->backend edge only (the call INTO the first
-  /// backend hop of every dynamic endpoint). Unset = default_rpc. The
-  /// defended preset retries here and nowhere else: the gateway pool is too
-  /// large to pin, so it can afford to wait out a burst, while interior
-  /// edges fail fast and free their caller's slot immediately.
-  std::optional<microsvc::RpcPolicy> edge_rpc;
-  /// Policy for hop 0 — how long the external client waits before
-  /// abandoning a request. Unset = default_rpc. The defended preset pins
-  /// this to the endpoint deadline so the user outlasts the gateway's
-  /// retry span instead of hanging up mid-recovery.
-  std::optional<microsvc::RpcPolicy> client_rpc;
-  std::int32_t max_queue_per_replica = 0;
-  std::int32_t breaker_threshold = 0;
-  SimDuration breaker_cooldown = Ms(500);
-  /// Graceful-degradation deployment (anti-Grunt countermeasures), stamped
-  /// onto backend services like the admission knobs above; all off by
-  /// default.
-  std::int32_t bulkhead_per_downstream = 0;
-  microsvc::AdaptiveLimitSpec adaptive_limit;
-  microsvc::DeadlineShedSpec deadline_shed;
-  /// End-to-end deadline stamped onto every dynamic endpoint. 0 = none.
-  SimDuration endpoint_deadline = 0;
-  /// Closed-loop population; 0 keeps the scenario's reference default
-  /// (SocialNetwork 7000, HotelReservation 5000).
-  std::int32_t users = 0;
-};
 
 /// DeathStarBench SocialNetwork (Fig 12a): nginx gateway, compose-post
 /// fan-in, home-/user-timeline read fan-ins, storage backends; 13 dynamic

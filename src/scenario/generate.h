@@ -9,13 +9,13 @@
 // spec file, inspected, edited and re-loaded like any hand-written scenario.
 
 #include <cstdint>
-#include <optional>
 
+#include "scenario/builder.h"
 #include "scenario/spec.h"
 
 namespace grunt::scenario {
 
-/// Shape parameters for GenerateMubench (mirrors apps::MuBenchOptions).
+/// Shape parameters for GenerateMubench.
 struct MubenchParams {
   std::int32_t services = 62;  ///< unique microservices to generate
   std::int32_t groups = 3;     ///< dependency groups to embed
@@ -27,33 +27,25 @@ struct MubenchParams {
   /// first `upstream_paths` groups.
   std::int32_t upstream_paths = 1;
   std::int32_t singleton_paths = 2;  ///< independent paths (own group each)
-  microsvc::ServiceTimeDist dist = microsvc::ServiceTimeDist::kExponential;
-  /// Fault-tolerance deployment, all off by default (paper configuration).
-  std::optional<microsvc::RpcPolicy> default_rpc;
-  std::int32_t max_queue_per_replica = 0;
-  std::int32_t breaker_threshold = 0;
-  SimDuration breaker_cooldown = Ms(500);
-  /// Graceful-degradation deployment, all off by default (stamped onto
-  /// backend services like the admission knobs above).
-  std::int32_t bulkhead_per_downstream = 0;
-  microsvc::AdaptiveLimitSpec adaptive_limit;
-  microsvc::DeadlineShedSpec deadline_shed;
-  /// End-to-end deadline stamped onto every dynamic endpoint. 0 = none.
-  SimDuration endpoint_deadline = 0;
-  /// Closed-loop population for the scenario's workload section.
-  std::int32_t users = 4000;
 };
 
 /// Generates a deterministic random scenario with the requested shape. The
-/// same (seed, params) always yields the same spec; the RNG stream and draw
-/// order are shared with the legacy apps::MakeMuBench so a generated
-/// topology is structurally identical to the hard-coded factory's output.
-/// Services not reachable from any public path pad the topology to
-/// `services` (realistic: batch/ops services that public URLs never touch).
+/// same (seed, shape, deployment) always yields the same spec; the RNG
+/// stream name ("mubench.topology") and draw order are fixed, so the
+/// generated topologies stay identical to the pre-scenario-layer
+/// hard-coded generator's output. Services not reachable from any public
+/// path pad the topology to `services` (realistic: batch/ops services that
+/// public URLs never touch).
+///
+/// `deployment` supplies the service-time distribution, the fault-tolerance
+/// and degradation knobs (stamped like every built-in scenario's) and the
+/// closed-loop population (0 = 4000 users); its replica, capacity, queue,
+/// edge and client knobs are ignored.
 ///
 /// The workload mix down-weights "-admin" endpoints to 0.25 (they are
 /// heavyweight on their group frontend; a uniform mix would saturate it).
 ScenarioSpec GenerateMubench(std::uint64_t seed,
-                             const MubenchParams& params = {});
+                             const MubenchParams& shape = {},
+                             const DeploymentParams& deployment = {});
 
 }  // namespace grunt::scenario

@@ -1,10 +1,11 @@
-#include "apps/mubench.h"
 #include "apps/socialnetwork.h"
 
 #include <gtest/gtest.h>
 
 #include "fixtures.h"
 #include "microsvc/cluster.h"
+#include "scenario/generate.h"
+#include "scenario/loader.h"
 #include "sim/simulation.h"
 #include "util/stats.h"
 #include "workload/workload.h"
@@ -93,10 +94,15 @@ TEST(SocialNetwork, BaselineIsHealthyAtReferenceLoad) {
   EXPECT_LT(cluster.in_flight(), 600u);
 }
 
+microsvc::Application MakeMuBench(std::uint64_t seed,
+                                  const scenario::MubenchParams& shape = {}) {
+  return scenario::BuildApplication(
+      scenario::GenerateMubench(seed, shape).topology);
+}
+
 TEST(MuBench, DeterministicPerSeed) {
-  MuBenchOptions opts;
-  const auto a = MakeMuBench(opts);
-  const auto b = MakeMuBench(opts);
+  const auto a = MakeMuBench(1);
+  const auto b = MakeMuBench(1);
   ASSERT_EQ(a.service_count(), b.service_count());
   ASSERT_EQ(a.request_type_count(), b.request_type_count());
   for (std::size_t i = 0; i < a.request_type_count(); ++i) {
@@ -107,9 +113,7 @@ TEST(MuBench, DeterministicPerSeed) {
       EXPECT_EQ(ta.hops[h].cpu_demand, tb.hops[h].cpu_demand);
     }
   }
-  MuBenchOptions other = opts;
-  other.seed = 999;
-  const auto c = MakeMuBench(other);
+  const auto c = MakeMuBench(999);
   bool any_diff = false;
   for (std::size_t i = 0; i < a.request_type_count() && !any_diff; ++i) {
     const auto& ta = a.request_type(static_cast<std::int32_t>(i));
@@ -124,11 +128,8 @@ TEST(MuBench, DeterministicPerSeed) {
 
 TEST(MuBench, ExactServiceCountsAtPaperScales) {
   for (std::int32_t services : {62, 118, 196}) {
-    MuBenchOptions opts;
-    opts.services = services;
-    opts.groups = 3;
-    opts.paths_per_group = 3;
-    const auto app = MakeMuBench(opts);
+    const auto app = MakeMuBench(
+        1, {.services = services, .groups = 3, .paths_per_group = 3});
     EXPECT_EQ(app.service_count(), static_cast<std::size_t>(services));
     EXPECT_EQ(app.PublicDynamicTypes().size(),
               3u * 3u + 1u /*upstream*/ + 2u /*singletons*/);
@@ -136,21 +137,30 @@ TEST(MuBench, ExactServiceCountsAtPaperScales) {
 }
 
 TEST(MuBench, RejectsImpossibleShapes) {
-  MuBenchOptions tiny;
-  tiny.services = 10;
-  tiny.groups = 3;
-  tiny.paths_per_group = 3;
-  EXPECT_THROW(MakeMuBench(tiny), std::invalid_argument);
-  MuBenchOptions bad;
-  bad.paths_per_group = 1;
-  EXPECT_THROW(MakeMuBench(bad), std::invalid_argument);
+  EXPECT_THROW(
+      MakeMuBench(1, {.services = 10, .groups = 3, .paths_per_group = 3}),
+      std::invalid_argument);
+  EXPECT_THROW(MakeMuBench(1, {.paths_per_group = 1}), std::invalid_argument);
 }
 
 TEST(MuBench, MixIsUniformOverDynamicTypes) {
-  const auto app = MakeMuBench({});
-  const auto mix = MuBenchMix(app);
-  EXPECT_NO_THROW(mix.Validate());
-  EXPECT_EQ(mix.types.size(), app.PublicDynamicTypes().size());
+  // Uniform over the dynamic types in declaration order, except that the
+  // heavyweight "-admin" endpoints are down-weighted to 0.25.
+  for (std::int32_t services : {62, 118, 196}) {
+    const auto spec = scenario::GenerateMubench(
+        static_cast<std::uint64_t>(services), {.services = services});
+    const auto app = scenario::BuildApplication(spec.topology);
+    const auto mix = scenario::BuildRequestMix(app, spec.workload);
+    EXPECT_NO_THROW(mix.Validate());
+    const auto dynamic = app.PublicDynamicTypes();
+    ASSERT_EQ(mix.types, dynamic) << services;
+    ASSERT_EQ(mix.weights.size(), dynamic.size());
+    for (std::size_t i = 0; i < dynamic.size(); ++i) {
+      const auto& name = app.request_type(dynamic[i]).name;
+      const bool admin = name.ends_with("-admin");
+      EXPECT_DOUBLE_EQ(mix.weights[i], admin ? 0.25 : 1.0) << name;
+    }
+  }
 }
 
 }  // namespace

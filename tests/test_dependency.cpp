@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/mubench.h"
 #include "apps/socialnetwork.h"
 #include "fixtures.h"
+#include "scenario/generate.h"
+#include "scenario/loader.h"
 
 namespace grunt::trace {
 namespace {
@@ -162,14 +163,8 @@ TEST(DependencyGroups, UnionFindBasics) {
 class MuBenchStructureTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MuBenchStructureTest, EmbeddedGroupsMatchGroundTruth) {
-  apps::MuBenchOptions opts;
-  opts.services = 62;
-  opts.groups = 3;
-  opts.paths_per_group = 3;
-  opts.upstream_paths = 1;
-  opts.singleton_paths = 2;
-  opts.seed = GetParam();
-  const auto app = apps::MakeMuBench(opts);
+  const auto app = scenario::BuildApplication(
+      scenario::GenerateMubench(GetParam(), {.services = 62}).topology);
   EXPECT_EQ(app.service_count(), 62u);
 
   GroundTruth truth(app, FlatRates(app, 60.0));

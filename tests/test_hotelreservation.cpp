@@ -1,16 +1,29 @@
-#include "apps/hotelreservation.h"
-
 #include <gtest/gtest.h>
 
 #include "fixtures.h"
 #include "microsvc/cluster.h"
+#include "scenario/builtin_apps.h"
+#include "scenario/loader.h"
 #include "sim/simulation.h"
 #include "trace/dependency.h"
 #include "util/stats.h"
 #include "workload/workload.h"
 
-namespace grunt::apps {
+namespace grunt::scenario {
 namespace {
+
+microsvc::Application MakeHotelReservation(const DeploymentParams& p = {}) {
+  return BuildApplication(HotelReservationScenario(p).topology);
+}
+
+workload::RequestMix HotelReservationMix(const microsvc::Application& app) {
+  return BuildRequestMix(app, HotelReservationScenario().workload);
+}
+
+workload::MarkovNavigator HotelReservationNavigator(
+    const microsvc::Application& app) {
+  return BuildNavigator(app, HotelReservationScenario().workload);
+}
 
 std::vector<double> MixRates(const microsvc::Application& app,
                              std::int32_t users) {
@@ -26,7 +39,7 @@ std::vector<double> MixRates(const microsvc::Application& app,
 }
 
 TEST(HotelReservation, TopologyShape) {
-  const auto app = MakeHotelReservation({});
+  const auto app = MakeHotelReservation();
   EXPECT_EQ(app.name(), "hotelreservation");
   EXPECT_GE(app.service_count(), 18u);
   EXPECT_EQ(app.PublicDynamicTypes().size(), 9u);
@@ -35,13 +48,12 @@ TEST(HotelReservation, TopologyShape) {
     ASSERT_TRUE(id.has_value()) << name;
     EXPECT_LE(app.service(*id).threads_per_replica, 32) << name;
   }
-  EXPECT_THROW(MakeHotelReservation({0, 1.0,
-                                     microsvc::ServiceTimeDist::kExponential}),
+  EXPECT_THROW(MakeHotelReservation({.replica_scale = 0}),
                std::invalid_argument);
 }
 
 TEST(HotelReservation, GroundTruthFormsTwoGroupsPlusSingletons) {
-  const auto app = MakeHotelReservation({});
+  const auto app = MakeHotelReservation();
   trace::GroundTruth truth(app, MixRates(app, 5000));
   auto groups = trace::DependencyGroups::FromPairs(app.request_type_count(),
                                                    truth.AllPairs());
@@ -67,7 +79,7 @@ TEST(HotelReservation, GroundTruthFormsTwoGroupsPlusSingletons) {
 
 TEST(HotelReservation, BaselineHealthyAtReferenceLoad) {
   sim::Simulation sim;
-  const auto app = MakeHotelReservation({});
+  const auto app = MakeHotelReservation();
   microsvc::Cluster cluster(sim, app, 8);
   const grunt::testing::CompletionLog completions(cluster);
   workload::ClosedLoopWorkload::Config wl;
@@ -88,11 +100,11 @@ TEST(HotelReservation, BaselineHealthyAtReferenceLoad) {
 }
 
 TEST(HotelReservation, MixAndNavigatorValidate) {
-  const auto app = MakeHotelReservation({});
+  const auto app = MakeHotelReservation();
   EXPECT_NO_THROW(HotelReservationMix(app).Validate());
   EXPECT_NO_THROW(HotelReservationNavigator(app).Validate());
   EXPECT_EQ(HotelReservationMix(app).types.size(), 10u);  // incl. static
 }
 
 }  // namespace
-}  // namespace grunt::apps
+}  // namespace grunt::scenario

@@ -144,5 +144,54 @@ TEST(ResponseTimeMonitor, P95TracksTail) {
   EXPECT_GT(window.Percentile(95), window.mean());
 }
 
+TEST(ResponseTimeMonitor, LegitWindowIsHalfOpenOnEndTime) {
+  sim::Simulation sim;
+  const auto app = SingleChainApp(microsvc::ServiceTimeDist::kExponential);
+  microsvc::Cluster cluster(sim, app, 5);
+  const grunt::testing::CompletionLog log(cluster);
+  ResponseTimeMonitor rt(cluster, {Sec(1), "rt"});
+  rt.Start();
+  workload::OpenLoopSource::Config cfg;
+  cfg.rate = 150;
+  cfg.mix = workload::RequestMix::Uniform({0});
+  workload::OpenLoopSource src(cluster, cfg, 5);
+  src.Start();
+  sim.RunUntil(Sec(10));
+
+  std::vector<std::pair<SimTime, double>> ok;  // (end, rt_ms), publish order
+  for (const auto& r : log) {
+    if (r.cls == microsvc::RequestClass::kLegit &&
+        r.outcome == microsvc::Outcome::kOk) {
+      ok.emplace_back(r.end, ToMillis(r.end - r.start));
+    }
+  }
+  ASSERT_GT(ok.size(), 1000u);
+  auto reference = [&](SimTime from, SimTime to) {
+    std::vector<double> out;
+    for (const auto& [end, ms] : ok) {
+      if (end >= from && end < to) out.push_back(ms);
+    }
+    return out;
+  };
+
+  // Window edges placed exactly on completion times: an end equal to
+  // `from` counts, an end equal to `to` does not.
+  for (std::size_t i : {0ul, 17ul, 333ul}) {
+    for (std::size_t j : {i + 1, i + 250, ok.size() - 1}) {
+      const SimTime from = ok[i].first;
+      const SimTime to = ok[j].first;
+      const Samples got = rt.LegitWindow(from, to);
+      EXPECT_EQ(got.values(), reference(from, to)) << i << ".." << j;
+      EXPECT_FALSE(got.values().empty());
+    }
+  }
+  const SimTime e = ok[40].first;
+  EXPECT_EQ(rt.LegitWindow(e, e).count(), 0u);
+  EXPECT_EQ(rt.LegitWindow(e, e + 1).values(), reference(e, e + 1));
+  EXPECT_GE(rt.LegitWindow(e, e + 1).count(), 1u);
+  EXPECT_EQ(rt.LegitWindow(0, Sec(10)).values(), reference(0, Sec(10)));
+  EXPECT_EQ(rt.LegitWindow(Sec(4), Sec(2)).count(), 0u);
+}
+
 }  // namespace
 }  // namespace grunt::cloud

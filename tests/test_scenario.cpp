@@ -200,6 +200,9 @@ TEST(ScenarioGenerator, HonorsShapeParams) {
     }
   }
   EXPECT_EQ(admins, 2);
+  // users == 0 keeps the reference population; a deployment overrides it.
+  EXPECT_EQ(spec.workload.users, 4000);
+  EXPECT_EQ(GenerateMubench(3, p, {.users = 900}).workload.users, 900);
 
   MubenchParams tiny;
   tiny.services = 4;
@@ -211,16 +214,45 @@ TEST(ScenarioGenerator, HonorsShapeParams) {
 }
 
 TEST(ScenarioBuilder, GatewayRuleAndAdmissionStamping) {
+  DeploymentParams d;
+  d.dist = microsvc::ServiceTimeDist::kDeterministic;
+  microsvc::RpcPolicy rpc;
+  rpc.timeout = Ms(80);
+  d.default_rpc = rpc;
+  d.max_queue_per_replica = 64;
+  d.breaker_threshold = 5;
+  d.breaker_cooldown = Ms(250);
+  d.bulkhead_per_downstream = 6;
+  d.adaptive_limit.enabled = true;
+  d.deadline_shed.enabled = true;
+  d.endpoint_deadline = Sec(2);
   SpecBuilder b("adm");
-  b.SetBackendAdmission(64, 5, Ms(250));
-  b.AddService("gw", kGatewayThreads, 8, 1);
-  b.AddService("backend", 16, 2, 2);
+  b.SetDeployment(d);
+  const auto gw = b.AddService("gw", kGatewayThreads, 8, 1);
+  const auto backend = b.AddService("backend", 16, 2, 2);
+  b.AddChainEndpoint("api/x", {{gw, Us(100), 0}, {backend, Us(900), 0}}, 1.5,
+                     500, 1000);
+  b.AddStaticEndpoint("static/x", 100, 1000);
   const TopologySpec t = std::move(b).Build();
-  EXPECT_EQ(t.services[0].max_queue_per_replica, 0);  // gateways never shed
+  EXPECT_EQ(t.dist, microsvc::ServiceTimeDist::kDeterministic);
+  ASSERT_TRUE(t.default_rpc.has_value());
+  EXPECT_EQ(t.default_rpc->timeout, Ms(80));
+  // Gateways are exempt from every backend knob: they never shed.
+  EXPECT_EQ(t.services[0].max_queue_per_replica, 0);
+  EXPECT_EQ(t.services[0].breaker_threshold, 0);
+  EXPECT_EQ(t.services[0].bulkhead_per_downstream, 0);
+  EXPECT_FALSE(t.services[0].adaptive_limit.enabled);
+  EXPECT_FALSE(t.services[0].deadline_shed.enabled);
   EXPECT_EQ(t.services[1].max_queue_per_replica, 64);
   EXPECT_EQ(t.services[1].breaker_threshold, 5);
   EXPECT_EQ(t.services[1].breaker_cooldown, Ms(250));
+  EXPECT_EQ(t.services[1].bulkhead_per_downstream, 6);
+  EXPECT_TRUE(t.services[1].adaptive_limit.enabled);
+  EXPECT_TRUE(t.services[1].deadline_shed.enabled);
   EXPECT_EQ(t.services[1].max_replicas, 16);  // replicas * 8 default
+  // The deadline goes on dynamic endpoints only.
+  EXPECT_EQ(t.endpoints[0].deadline, Sec(2));
+  EXPECT_EQ(t.endpoints[1].deadline, 0);
 }
 
 TEST(ScenarioBuilder, ScaledDemandMatchesLegacyArithmetic) {
