@@ -169,6 +169,9 @@ CloudSetting SettingFromJson(const json::Value& v) {
 
 json::Value CampaignResultToJson(const CampaignResult& r) {
   json::Object o;
+  // One slot per field below. Without it GCC 12 at -O3 raises a spurious
+  // -Warray-bounds inside the grow path of the second emplace_back.
+  o.reserve(23);
   o.emplace_back("base_rt_ms", SamplesToJson(r.base_rt_ms));
   o.emplace_back("att_rt_ms", SamplesToJson(r.att_rt_ms));
   o.emplace_back("base_mbps", r.base_mbps);

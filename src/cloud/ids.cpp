@@ -1,7 +1,5 @@
 #include "cloud/ids.h"
 
-#include <algorithm>
-
 namespace grunt::cloud {
 
 const char* ToString(AlertRule rule) {
@@ -39,9 +37,8 @@ void Ids::Stop() {
   timer_.Cancel();
 }
 
-void Ids::Raise(AlertRule rule, std::uint64_t client_id,
-                bool attack_attributed) {
-  alerts_.push_back({cluster_.simulation().Now(), rule, client_id});
+void Ids::Raise(AlertRule rule, bool attack_attributed) {
+  ++alerts_.by_rule_[static_cast<std::size_t>(rule)];
   if (attack_attributed) ++attributed_attack_alerts_;
 }
 
@@ -55,7 +52,7 @@ void Ids::OnSubmit(microsvc::RequestTypeId /*type*/,
   // Behavioral rule: consecutive requests too close together.
   if (s.total_requests >= cfg_.min_session_requests - 1 &&
       s.total_requests > 0 && at - s.last_request < cfg_.min_inter_request) {
-    Raise(AlertRule::kInterRequestInterval, client_id, s.is_attack);
+    Raise(AlertRule::kInterRequestInterval, s.is_attack);
   }
   s.last_request = at;
   ++s.total_requests;
@@ -66,7 +63,7 @@ void Ids::OnSubmit(microsvc::RequestTypeId /*type*/,
     s.window.pop_front();
   }
   if (static_cast<std::int64_t>(s.window.size()) > cfg_.rate_limit) {
-    Raise(AlertRule::kRateLimit, client_id, s.is_attack);
+    Raise(AlertRule::kRateLimit, s.is_attack);
     s.window.clear();  // one alert per overflow, then reset the budget
   }
 }
@@ -81,7 +78,7 @@ void Ids::Evaluate() {
             cfg_.saturation_threshold) {
           ++saturated_ticks_[i];
           if (saturated_ticks_[i] >= cfg_.saturation_samples) {
-            Raise(AlertRule::kResourceSaturation, 0,
+            Raise(AlertRule::kResourceSaturation,
                   /*attack_attributed=*/false);
             saturated_ticks_[i] = 0;
           }
@@ -95,16 +92,10 @@ void Ids::Evaluate() {
     const SeriesView series = rt_monitor_->legit_mean_ms();
     for (; next_rt_sample_ < series.size(); ++next_rt_sample_) {
       if (series.at(next_rt_sample_).value >= cfg_.degradation_rt_ms) {
-        Raise(AlertRule::kServiceDegradation, 0, /*attack_attributed=*/false);
+        Raise(AlertRule::kServiceDegradation, /*attack_attributed=*/false);
       }
     }
   }
-}
-
-std::size_t Ids::CountAlerts(AlertRule rule) const {
-  return static_cast<std::size_t>(
-      std::count_if(alerts_.begin(), alerts_.end(),
-                    [rule](const Alert& a) { return a.rule == rule; }));
 }
 
 }  // namespace grunt::cloud

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -21,13 +23,28 @@ enum class AlertRule : std::uint8_t {
   kResourceSaturation,    ///< sustained saturation at monitor granularity
   kServiceDegradation,    ///< long RT observed (no client attribution)
 };
+inline constexpr std::size_t kAlertRuleCount = 4;
 
 const char* ToString(AlertRule rule);
 
-struct Alert {
-  SimTime at = 0;
-  AlertRule rule{};
-  std::uint64_t client_id = 0;  ///< 0 when the rule has no client attribution
+/// Alerts raised so far, counted per rule. Every reader only counts alerts,
+/// so the IDS keeps these counters and no per-alert record.
+class AlertCensus {
+ public:
+  std::size_t count(AlertRule rule) const {
+    return by_rule_[static_cast<std::size_t>(rule)];
+  }
+  /// All alerts, whatever the rule.
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (const std::size_t c : by_rule_) n += c;
+    return n;
+  }
+  bool empty() const { return size() == 0; }
+
+ private:
+  friend class Ids;
+  std::array<std::size_t, kAlertRuleCount> by_rule_{};
 };
 
 /// Gateway intrusion detection/prevention, fed by every submitted request.
@@ -63,8 +80,8 @@ class Ids {
   void Start();
   void Stop();
 
-  const std::vector<Alert>& alerts() const { return alerts_; }
-  std::size_t CountAlerts(AlertRule rule) const;
+  const AlertCensus& alerts() const { return alerts_; }
+  std::size_t CountAlerts(AlertRule rule) const { return alerts_.count(rule); }
 
   /// Alerts whose client attribution points at an actual attack/probe
   /// session — i.e. detections that would let an operator block the attack.
@@ -80,7 +97,7 @@ class Ids {
   void OnSubmit(microsvc::RequestTypeId type, microsvc::RequestClass cls,
                 std::uint64_t client_id, SimTime at);
   void Evaluate();
-  void Raise(AlertRule rule, std::uint64_t client_id, bool attack_attributed);
+  void Raise(AlertRule rule, bool attack_attributed);
 
   microsvc::Cluster& cluster_;
   const ResourceMonitor* monitor_;
@@ -99,7 +116,7 @@ class Ids {
   std::vector<std::size_t> next_util_sample_;
   std::vector<std::int32_t> saturated_ticks_;
   std::size_t next_rt_sample_ = 0;
-  std::vector<Alert> alerts_;
+  AlertCensus alerts_;
   std::size_t attributed_attack_alerts_ = 0;
 };
 

@@ -114,15 +114,23 @@ ResponseTimeMonitor::ResponseTimeMonitor(microsvc::Cluster& cluster,
       ++window_errors_;
       return;
     }
-    const double rt_ms = ToMillis(r.end - r.start);
-    window_.Add(rt_ms);
+    const SimDuration rt = r.end - r.start;
+    const double rt_ms = ToMillis(rt);
+    ++window_ok_;
+    window_sum_ms_ += rt_ms;
     cluster_.telemetry().metrics().Observe(rt_hist_, rt_ms);
     // LegitWindow binary-searches on end time: completions are published
     // at Now(), so appends must arrive in end-time order.
-    if (!legit_all_.empty() && r.end < legit_all_.back().first) {
-      throw std::logic_error("ResponseTimeMonitor: out-of-order completion");
+    if (!legit_all_.empty() && r.end < legit_all_.last_end()) {
+      throw std::logic_error("ResponseTimeMonitor '" + cfg_.name +
+                             "': out-of-order completion");
     }
-    legit_all_.emplace_back(r.end, rt_ms);
+    if (rt > LegitRtStore::kMaxSpan) {
+      throw std::overflow_error("ResponseTimeMonitor '" + cfg_.name +
+                                "': legit RT of " + std::to_string(rt) +
+                                " us does not fit 32 bits");
+    }
+    legit_all_.Append(r.end, rt);
   });
 }
 
@@ -138,30 +146,62 @@ void ResponseTimeMonitor::Stop() {
 }
 
 void ResponseTimeMonitor::Flush() {
-  const double total =
-      static_cast<double>(window_.count() + window_errors_);
+  const double total = static_cast<double>(window_ok_ + window_errors_);
   std::array<double, kColumns> row{};
-  row[kLegitMeanMs] = window_.mean();
+  // The same left-to-right sum Samples::mean takes over the window's RTs.
+  row[kLegitMeanMs] =
+      window_ok_ == 0 ? 0.0
+                      : window_sum_ms_ / static_cast<double>(window_ok_);
   row[kGoodput] =
-      static_cast<double>(window_.count()) / ToSeconds(cfg_.granularity);
+      static_cast<double>(window_ok_) / ToSeconds(cfg_.granularity);
   row[kErrorRate] =
       total <= 0 ? 0.0 : static_cast<double>(window_errors_) / total;
   series_.AddRow(cluster_.simulation().Now(), row);
-  window_.Clear();
+  window_ok_ = 0;
+  window_sum_ms_ = 0;
   window_errors_ = 0;
 }
 
 Samples ResponseTimeMonitor::LegitWindow(SimTime from, SimTime to) const {
-  // legit_all_ is sorted by end time (enforced on append), so [from, to) is
-  // one contiguous run.
-  auto by_end = [](const std::pair<SimTime, double>& e, SimTime t) {
-    return e.first < t;
-  };
-  const auto first =
-      std::lower_bound(legit_all_.begin(), legit_all_.end(), from, by_end);
-  const auto last = std::lower_bound(first, legit_all_.end(), to, by_end);
+  return legit_all_.Window(from, to);
+}
+
+void LegitRtStore::NewChunk(SimTime base) {
+  // The columns stay uninitialised: a row is written before it is read.
+  auto chunk = std::make_unique_for_overwrite<Chunk>();
+  chunk->base = base;
+  chunks_.push_back(std::move(chunk));
+}
+
+std::pair<std::size_t, std::size_t> LegitRtStore::LowerBound(SimTime t) const {
+  // Rows are sorted by end across chunks, so the first chunk whose last end
+  // is >= t holds the answer.
+  const auto chunk = std::partition_point(
+      chunks_.begin(), chunks_.end(), [t](const std::unique_ptr<Chunk>& c) {
+        return c->base + c->end_offset[c->rows - 1] < t;
+      });
+  if (chunk == chunks_.end()) return {chunks_.size(), 0};
+  const Chunk& c = **chunk;
+  // t <= the chunk's last end, so t - base fits the offset column.
+  const std::uint32_t offset =
+      t <= c.base ? 0 : static_cast<std::uint32_t>(t - c.base);
+  const auto row = std::lower_bound(c.end_offset.begin(),
+                                    c.end_offset.begin() + c.rows, offset);
+  return {static_cast<std::size_t>(chunk - chunks_.begin()),
+          static_cast<std::size_t>(row - c.end_offset.begin())};
+}
+
+Samples LegitRtStore::Window(SimTime from, SimTime to) const {
   Samples out;
-  for (auto it = first; it < last; ++it) out.Add(it->second);
+  if (from >= to) return out;
+  auto [chunk, row] = LowerBound(from);
+  const auto [last_chunk, last_row] = LowerBound(to);
+  for (; chunk <= last_chunk && chunk < chunks_.size(); ++chunk, row = 0) {
+    const Chunk& c = *chunks_[chunk];
+    const std::size_t end = chunk == last_chunk ? last_row : c.rows;
+    // ToMillis of the integer µs RT: the double the monitor observed.
+    for (; row < end; ++row) out.Add(ToMillis(c.rt_us[row]));
+  }
   return out;
 }
 

@@ -2,7 +2,10 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "microsvc/cluster.h"
@@ -89,6 +92,61 @@ class ResourceMonitor {
   std::vector<double> row_;  ///< the row Sample() fills, reused every tick
 };
 
+/// Every successful legitimate completion as an (end time, RT) row, in
+/// end-time order, at 8 B a row (DESIGN.md §4.11). Rows live in fixed chunks
+/// of kChunkRows: each chunk stores a SimTime base and two uint32_t columns,
+/// the end time as an offset from the base and the RT in integer µs. A new
+/// chunk starts when the last one is full or when an end no longer fits 32
+/// bits above its base. Chunks never move once allocated, so appending never
+/// copies and there is no growth slack beyond the last chunk.
+class LegitRtStore {
+ public:
+  static constexpr std::size_t kChunkRows = 4096;
+  /// Largest duration a uint32_t column holds, 2^32 - 1 µs (~71.6 min):
+  /// it bounds a row's RT and its end's offset from the chunk base.
+  static constexpr SimDuration kMaxSpan =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// Appends one row. Preconditions (the caller checks them): `end` is not
+  /// before the last row's end, and 0 <= rt <= kMaxSpan.
+  void Append(SimTime end, SimDuration rt) {
+    if (chunks_.empty() || chunks_.back()->rows == kChunkRows ||
+        end - chunks_.back()->base > kMaxSpan) {
+      NewChunk(end);
+    }
+    Chunk& c = *chunks_.back();
+    c.end_offset[c.rows] = static_cast<std::uint32_t>(end - c.base);
+    c.rt_us[c.rows] = static_cast<std::uint32_t>(rt);
+    ++c.rows;
+  }
+
+  bool empty() const { return chunks_.empty(); }
+  std::size_t chunk_count() const { return chunks_.size(); }
+  /// End time of the last row; meaningless when empty.
+  SimTime last_end() const {
+    const Chunk& c = *chunks_.back();
+    return c.base + c.end_offset[c.rows - 1];
+  }
+
+  /// RTs (ms, `ToMillis` of the stored µs) of the rows whose end lies in
+  /// [from, to), in append order.
+  Samples Window(SimTime from, SimTime to) const;
+
+ private:
+  struct Chunk {
+    SimTime base = 0;  ///< end time of the chunk's first row
+    std::size_t rows = 0;
+    std::array<std::uint32_t, kChunkRows> end_offset;  ///< end - base
+    std::array<std::uint32_t, kChunkRows> rt_us;
+  };
+  /// (chunk, row) of the first row whose end is >= t; (chunk_count(), 0)
+  /// when there is none.
+  std::pair<std::size_t, std::size_t> LowerBound(SimTime t) const;
+  void NewChunk(SimTime base);
+
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+};
+
 /// Windows end-to-end response times of completed requests into a mean /
 /// count series per granularity tick. Separates legitimate traffic
 /// from attack/probe traffic so benches can report "RT perceived by normal
@@ -124,7 +182,9 @@ class ResponseTimeMonitor {
   }
 
   /// All legitimate (successful) RTs (ms) observed in [from, to) by
-  /// completion time.
+  /// completion time. Each is kept as an 8 B LegitRtStore row; a legit RT
+  /// over LegitRtStore::kMaxSpan throws std::overflow_error when it
+  /// completes.
   Samples LegitWindow(SimTime from, SimTime to) const;
 
  private:
@@ -141,11 +201,13 @@ class ResponseTimeMonitor {
   /// so Snapshot() exports bucketed RTs with p95/p99 alongside the gauges.
   telemetry::MetricsRegistry::Id rt_hist_ =
       telemetry::MetricsRegistry::kInvalidId;
-  Samples window_;  ///< successful legit RTs in the current window
+  /// Successful legit completions in the current window and the sum of
+  /// their RTs (ms), added in completion order.
+  std::uint64_t window_ok_ = 0;
+  double window_sum_ms_ = 0;
   std::uint64_t window_errors_ = 0;  ///< failed legit completions in window
   std::array<std::uint64_t, microsvc::kOutcomeCount> legit_outcomes_{};
-  /// (end, rt_ms) of every kOk legit completion, in end-time order.
-  std::vector<std::pair<SimTime, double>> legit_all_;
+  LegitRtStore legit_all_;  ///< every kOk legit completion
   SeriesTable series_{kColumns};  ///< one row per window, on one clock
 };
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "fixtures.h"
 #include "workload/workload.h"
 
@@ -191,6 +196,125 @@ TEST(ResponseTimeMonitor, LegitWindowIsHalfOpenOnEndTime) {
   EXPECT_GE(rt.LegitWindow(e, e + 1).count(), 1u);
   EXPECT_EQ(rt.LegitWindow(0, Sec(10)).values(), reference(0, Sec(10)));
   EXPECT_EQ(rt.LegitWindow(Sec(4), Sec(2)).count(), 0u);
+}
+
+TEST(ResponseTimeMonitor, LegitWindowMatchesLinearScanAcrossChunks) {
+  sim::Simulation sim;
+  const auto app = SingleChainApp(microsvc::ServiceTimeDist::kExponential);
+  microsvc::Cluster cluster(sim, app, 7);
+  const grunt::testing::CompletionLog log(cluster);
+  ResponseTimeMonitor rt(cluster, {Sec(1), "rt"});
+  rt.Start();
+  workload::OpenLoopSource::Config cfg;
+  cfg.rate = 150;
+  cfg.mix = workload::RequestMix::Uniform({0});
+  workload::OpenLoopSource src(cluster, cfg, 7);
+  src.Start();
+  sim.RunUntil(Sec(120));
+
+  std::vector<std::pair<SimTime, double>> ok;  // (end, rt_ms), publish order
+  for (const auto& r : log) {
+    if (r.cls == microsvc::RequestClass::kLegit &&
+        r.outcome == microsvc::Outcome::kOk) {
+      ok.emplace_back(r.end, ToMillis(r.end - r.start));
+    }
+  }
+  constexpr std::size_t kRows = LegitRtStore::kChunkRows;
+  // The run lasts minutes, far below the 32-bit offset span, so chunks
+  // roll over only when full: chunk k holds rows [k * kRows, (k+1) * kRows).
+  ASSERT_GT(ok.size(), 3 * kRows + 1);
+  auto reference = [&](SimTime from, SimTime to) {
+    std::vector<double> out;
+    for (const auto& [end, ms] : ok) {
+      if (end >= from && end < to) out.push_back(ms);
+    }
+    return out;
+  };
+  auto expect_same = [&](SimTime from, SimTime to) {
+    EXPECT_EQ(rt.LegitWindow(from, to).values(), reference(from, to))
+        << from << ".." << to;
+  };
+  for (std::size_t k = 0; k < 3; ++k) {
+    const SimTime first = ok[k * kRows].first;
+    const SimTime last = ok[(k + 1) * kRows - 1].first;
+    const SimTime next_first = ok[(k + 1) * kRows].first;
+    expect_same(first, last);
+    expect_same(first, last + 1);
+    expect_same(first + 1, last);
+    expect_same(last, next_first);
+    expect_same(last, next_first + 1);
+    expect_same(first, next_first);
+    expect_same(last, ok.back().first + 1);
+    EXPECT_FALSE(rt.LegitWindow(last, last + 1).values().empty());
+  }
+  expect_same(ok[kRows - 1].first, ok[3 * kRows].first + 1);
+  expect_same(0, Sec(120));
+  EXPECT_EQ(rt.LegitWindow(0, Sec(120)).count(), ok.size());
+}
+
+TEST(ResponseTimeMonitor, LegitWindowSpansAnIdleGapBeyond32Bits) {
+  sim::Simulation sim;
+  const auto app = SingleChainApp();
+  microsvc::Cluster cluster(sim, app, 1);
+  ResponseTimeMonitor rt(cluster, {Sec(60), "rt"});
+  rt.Start();
+  const SimTime second = Sec(1) + LegitRtStore::kMaxSpan + Sec(60);
+  for (const SimTime at : {Sec(1), second}) {
+    sim.At(at, [&] {
+      cluster.Submit(0, microsvc::RequestClass::kLegit, false, 1);
+    });
+  }
+  sim.RunUntil(second + Sec(1));
+  const Samples all = rt.LegitWindow(0, second + Sec(1));
+  ASSERT_EQ(all.count(), 2u);
+  EXPECT_EQ(rt.LegitWindow(0, second).values(),
+            std::vector<double>{all.values()[0]});
+  EXPECT_EQ(rt.LegitWindow(second, second + Sec(1)).values(),
+            std::vector<double>{all.values()[1]});
+  EXPECT_NEAR(all.values()[1], 10.2, 0.01);
+}
+
+TEST(LegitRtStore, StartsANewChunkBaseWhenTheEndOffsetOverflows) {
+  LegitRtStore store;
+  const SimTime t0 = Sec(5);
+  store.Append(t0, Ms(3));
+  // An offset of exactly kMaxSpan still fits the first chunk.
+  store.Append(t0 + LegitRtStore::kMaxSpan, LegitRtStore::kMaxSpan);
+  EXPECT_EQ(store.chunk_count(), 1u);
+  const SimTime far = t0 + LegitRtStore::kMaxSpan + 1;
+  store.Append(far, Ms(4));
+  EXPECT_EQ(store.chunk_count(), 2u);
+  EXPECT_EQ(store.last_end(), far);
+  EXPECT_EQ(store.Window(0, far + 1).values(),
+            (std::vector<double>{3.0, ToMillis(LegitRtStore::kMaxSpan), 4.0}));
+  EXPECT_EQ(store.Window(far, far + 1).values(), std::vector<double>{4.0});
+  EXPECT_EQ(store.Window(t0 + 1, far).values(),
+            std::vector<double>{ToMillis(LegitRtStore::kMaxSpan)});
+  EXPECT_TRUE(store.Window(far + 1, far + Sec(1)).values().empty());
+}
+
+TEST(ResponseTimeMonitor, LegitRtBeyond32BitsThrows) {
+  sim::Simulation sim;
+  const auto app = SingleChainApp();
+  microsvc::Cluster cluster(sim, app, 1);
+  ResponseTimeMonitor rt(cluster, {Sec(60), "slow-rt"});
+  rt.Start();
+  // Both s1 cores are busy for kMaxSpan, so a legit request queued behind
+  // them completes a little over 2^32 µs after its start.
+  const auto s1 = *app.FindService("s1");
+  sim.At(Ms(1), [&] {
+    for (int c = 0; c < 2; ++c) {
+      cluster.service(s1).RunCpu(LegitRtStore::kMaxSpan, [] {});
+    }
+    cluster.Submit(0, microsvc::RequestClass::kLegit, false, 1);
+  });
+  try {
+    sim.RunUntil(LegitRtStore::kMaxSpan + Sec(10));
+    FAIL() << "no overflow_error";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("slow-rt"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

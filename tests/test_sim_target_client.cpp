@@ -81,8 +81,12 @@ TEST(SimTargetClient, PartialCrawlCoverageIsDeterministicSubset) {
   microsvc::Application::Builder b;
   const auto s0 = b.AddService(grunt::testing::Svc("s", 16, 2));
   for (int i = 0; i < 20; ++i) {
-    b.AddRequestType(grunt::testing::Type("t" + std::to_string(i),
-                                          {{s0, Us(500), 0}}));
+    // Appended rather than `"t" + std::to_string(i)`: GCC 12 at -O3 raises
+    // a false -Wrestrict on that operator+ here.
+    std::string name = "t";
+    name += std::to_string(i);
+    b.AddRequestType(
+        grunt::testing::Type(std::move(name), {{s0, Us(500), 0}}));
   }
   const auto app = std::move(b).Build();
   microsvc::Cluster cluster(sim, app, 1);
